@@ -12,15 +12,11 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=20_000)
     ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--backend", default="rdd", choices=("rdd", "df"))
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     spark = get_session("table1-mr-kcenter")
     try:
-        df = t1.run(
-            spark, n=args.n, repeats=args.repeats, backend=args.backend,
-            seed=args.seed,
-        )
+        df = t1.run(spark, n=args.n, repeats=args.repeats, seed=args.seed)
     finally:
         spark.stop()
     print_table(df, "T1 / Figure 2 — MR k-center: ratio vs (ell, mu)")

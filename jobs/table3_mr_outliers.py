@@ -16,14 +16,13 @@ def main() -> None:
     ap.add_argument("--z", type=int, default=100)
     ap.add_argument("--ell", type=int, default=8)
     ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--backend", default="rdd", choices=("rdd", "df"))
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     spark = get_session("table3-mr-outliers")
     try:
         df = t3.run(
             spark, n=args.n, k=args.k, z=args.z, ell=args.ell,
-            repeats=args.repeats, backend=args.backend, seed=args.seed,
+            repeats=args.repeats, seed=args.seed,
         )
     finally:
         spark.stop()

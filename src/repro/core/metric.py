@@ -31,6 +31,21 @@ def as_points(x) -> np.ndarray:
     return a
 
 
+def finite_points(x) -> np.ndarray:
+    """``as_points`` plus a check that every coordinate is finite.
+
+    A NaN or infinite coordinate poisons every distance it touches: the
+    streaming guess and merge rules then double forever and the searches
+    return degenerate answers. Each public algorithm entry point calls this
+    once on its input; the per-point primitives (``as_points``, ``cdist``)
+    stay unchecked.
+    """
+    a = as_points(x)
+    if not np.isfinite(a).all():
+        raise ValueError("points contain NaN or infinite coordinates")
+    return a
+
+
 def cdist(a, b) -> np.ndarray:
     """Dense Euclidean distance matrix of shape ``(len(a), len(b))``.
 
@@ -108,13 +123,6 @@ def pairwise_min_gap(points) -> float:
         d[np.arange(hi - lo), rows] = np.inf
         best = min(best, float(d.min()))
     return best
-
-
-def diameter_upper_bound(points) -> float:
-    """Cheap upper bound on the diameter: 2 * max distance to the centroid."""
-    points = as_points(points)
-    c = points.mean(axis=0, keepdims=True)
-    return 2.0 * float(cdist(points, c).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.metric import as_points, cdist
+from repro.core.metric import as_points, cdist, finite_points
 from repro.core.outliers_cluster import OutliersClusterResult, outliers_cluster
 
 
@@ -181,7 +181,7 @@ def charikar(points, k: int, z: int) -> RadiusSearchResult:
     z outliers — OutliersCluster with eps_hat = 0 and unit weights over the
     whole input, binary-searched over all pairwise distances.
     """
-    points = as_points(points)
+    points = finite_points(points)
     return min_feasible_radius_exact(
         points, np.ones(len(points)), k, z, eps_hat=0.0
     )

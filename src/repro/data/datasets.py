@@ -180,19 +180,13 @@ def inflate(points, factor: int, *, seed: int = 0) -> np.ndarray:
 POINT_SCHEMA = "id bigint, pid int, features array<double>"
 
 
-def to_spark(
-    spark: SparkSession,
-    points,
-    *,
-    pids=None,
-    n_slices: int | None = None,
-) -> DataFrame:
+def to_spark(spark: SparkSession, points, *, pids=None) -> DataFrame:
     """Points as a Spark DataFrame ``(id, pid, features)``.
 
     ``pids`` (optional) are precomputed partition ids (see
     ``repro.mapreduce.partitioning``); default 0. Conversion goes through
-    pandas + Arrow; ``n_slices`` is unused here (partitioning to ℓ Spark
-    partitions happens inside the MR drivers) but accepted for symmetry.
+    pandas + Arrow; partitioning to ℓ Spark partitions happens inside the
+    MR drivers.
     """
     points = as_points(points)
     n = len(points)

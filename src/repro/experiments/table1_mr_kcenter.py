@@ -24,7 +24,6 @@ def run(
     ells=(2, 4, 8, 16),
     names=("higgs", "power", "wiki"),
     repeats: int = 1,
-    backend: str = "rdd",
     seed: int = 0,
 ) -> pd.DataFrame:
     """Sweep (dataset, ell, mu); returns one row per cell per repeat with
@@ -40,9 +39,7 @@ def run(
             Xs = shuffled(X, seed + 7 * rep)
             for ell in ells:
                 for mu in mus:
-                    res = mr_kcenter(
-                        spark, Xs, k, ell, tau=mu * k, backend=backend
-                    )
+                    res = mr_kcenter(spark, Xs, k, ell, tau=mu * k)
                     rows.append(
                         {
                             "dataset": name,

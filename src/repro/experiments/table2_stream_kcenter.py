@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import pandas as pd
 
+from repro.core.metric import radius
 from repro.experiments.common import add_ratio, make_datasets, shuffled
 from repro.experiments.table1_mr_kcenter import PAPER_K
-from repro.mapreduce.evaluate import radius_local
 from repro.streaming.base_stream import base_stream_kcenter
 from repro.streaming.coreset_stream import coreset_stream_kcenter
 
@@ -41,7 +41,7 @@ def run(
                         "param": mu,
                         "rep": rep,
                         "space": r.space,
-                        "radius": radius_local(Xs, r.centers, 0),
+                        "radius": radius(Xs, r.centers, 0),
                         "throughput": r.throughput,
                     }
                 )
@@ -54,7 +54,7 @@ def run(
                         "param": m,
                         "rep": rep,
                         "space": r.space,
-                        "radius": radius_local(Xs, r.centers, 0),
+                        "radius": radius(Xs, r.centers, 0),
                         "throughput": r.throughput,
                     }
                 )

@@ -25,7 +25,6 @@ def run(
     names=("higgs", "power", "wiki"),
     repeats: int = 1,
     eps_hat: float = 0.05,
-    backend: str = "rdd",
     seed: int = 0,
 ) -> pd.DataFrame:
     data = make_datasets(n, z=z, names=names, seed=seed)
@@ -50,7 +49,6 @@ def run(
                             "random" if randomized else "adversarial"
                         ),
                         outlier_mask=None if randomized else mask,
-                        backend=backend,
                         seed=seed + 31 * rep,
                     )
                     rows.append(

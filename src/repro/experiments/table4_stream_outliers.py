@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import pandas as pd
 
+from repro.core.metric import radius
 from repro.experiments.common import add_ratio, make_datasets, shuffled
-from repro.mapreduce.evaluate import radius_local
 from repro.streaming.base_outliers import base_stream_outliers
 from repro.streaming.coreset_outliers import coreset_stream_outliers
 
@@ -41,7 +41,7 @@ def run(
                         "param": mu,
                         "rep": rep,
                         "space": r.space,
-                        "radius": radius_local(Xs, r.centers, z),
+                        "radius": radius(Xs, r.centers, z),
                         "throughput": r.throughput,
                     }
                 )
@@ -54,7 +54,7 @@ def run(
                         "param": m,
                         "rep": rep,
                         "space": r.space,
-                        "radius": radius_local(Xs, r.centers, z),
+                        "radius": radius(Xs, r.centers, z),
                         "throughput": r.throughput,
                     }
                 )

@@ -15,9 +15,9 @@ import time
 
 import pandas as pd
 
+from repro.core.metric import radius
 from repro.core.search import charikar
 from repro.experiments.common import add_ratio, make_datasets, shuffled
-from repro.mapreduce.evaluate import radius_local
 from repro.mapreduce.kcenter_outliers import sequential_coreset_outliers
 
 
@@ -48,9 +48,7 @@ def run(
                     "mu": 0,
                     "rep": rep,
                     "time_s": t1 - t0,
-                    "radius": radius_local(
-                        Xs, Xs[ck.cluster.centers_idx], z
-                    ),
+                    "radius": radius(Xs, Xs[ck.cluster.centers_idx], z),
                 }
             )
             for mu in mus:
@@ -66,7 +64,7 @@ def run(
                         "mu": mu,
                         "rep": rep,
                         "time_s": t_cs + t_cl,
-                        "radius": radius_local(Xs, centers, z),
+                        "radius": radius(Xs, centers, z),
                     }
                 )
     df = add_ratio(pd.DataFrame(rows), ["dataset"])

@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 from pyspark.sql import DataFrame
 
-from repro.core.metric import as_points, min_dist, radius_from_distances
+from repro.core.metric import as_points, min_dist
 
 
 def _partition_top(
@@ -53,9 +53,3 @@ def radius_spark(df: DataFrame, centers, z: int = 0) -> float:
         return 0.0  # fewer than z+1 points: everything may be discarded
     return float(top[z])
 
-
-def radius_local(points, centers, z: int = 0) -> float:
-    """Same metric computed on driver-side numpy points (used by the
-    streaming/sequential harnesses and as a cross-check in tests)."""
-    d, _ = min_dist(points, centers)
-    return radius_from_distances(d, z)

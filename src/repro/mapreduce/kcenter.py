@@ -17,7 +17,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.gmm import gmm
-from repro.core.metric import as_points
+from repro.core.metric import finite_points
 from repro.data.datasets import to_spark
 from repro.mapreduce.evaluate import radius_spark
 from repro.mapreduce.partitioning import make_pids
@@ -45,7 +45,6 @@ def mr_kcenter(
     tau: int | None = None,
     eps: float | None = None,
     partition_mode: str = "contiguous",
-    backend: str = "rdd",
     seed: int = 0,
 ) -> MRKCenterResult:
     """Run the full 2-round algorithm on ``points`` with parallelism ``ell``.
@@ -53,7 +52,7 @@ def mr_kcenter(
     Exactly one of ``tau`` (fixed per-partition coreset size, >= k) or
     ``eps`` (adaptive rule with k_base = k) must be given.
     """
-    points = as_points(points)
+    points = finite_points(points)
     if not 0 < k < len(points):
         raise ValueError(f"need 0 < k < n, got k={k}, n={len(points)}")
     if tau is not None and tau < k:
@@ -68,7 +67,7 @@ def mr_kcenter(
     try:
         df.count()  # materialize before timing the rounds
         t0 = time.perf_counter()
-        r1: Round1Result = run_round1(df, ell, spec, backend=backend)
+        r1: Round1Result = run_round1(df, ell, spec)
         t1 = time.perf_counter()
         final = gmm(r1.points, k)
         centers = final.centers(r1.points)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.metric import as_points
+from repro.core.metric import finite_points
 from repro.core.search import RadiusSearchResult, min_feasible_radius
 from repro.data.datasets import to_spark
 from repro.mapreduce.evaluate import radius_spark
@@ -75,7 +75,6 @@ def mr_kcenter_outliers(
     randomized: bool = False,
     partition_mode: str | None = None,
     outlier_mask: np.ndarray | None = None,
-    backend: str = "rdd",
     seed: int = 0,
 ) -> MROutliersResult:
     """Run the full 2-round outliers algorithm with parallelism ``ell``.
@@ -86,7 +85,7 @@ def mr_kcenter_outliers(
     ``partition_mode`` defaults to "random" when ``randomized`` else
     "contiguous"; "adversarial" additionally needs ``outlier_mask``.
     """
-    points = as_points(points)
+    points = finite_points(points)
     n = len(points)
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
@@ -111,7 +110,7 @@ def mr_kcenter_outliers(
     try:
         df.count()
         t0 = time.perf_counter()
-        r1: Round1Result = run_round1(df, ell, spec, backend=backend)
+        r1: Round1Result = run_round1(df, ell, spec)
         t1 = time.perf_counter()
         search: RadiusSearchResult = min_feasible_radius(
             r1.points, r1.weights, k, z, eps_hat
@@ -151,7 +150,7 @@ def sequential_coreset_outliers(
     """
     from repro.core.gmm import gmm_coreset_adaptive, gmm_coreset_fixed
 
-    points = as_points(points)
+    points = finite_points(points)
     t0 = time.perf_counter()
     if tau is not None:
         T, w, _ = gmm_coreset_fixed(points, tau)

@@ -1,21 +1,18 @@
 """Round 1 of both MapReduce algorithms: per-partition weighted coresets.
 
 The input DataFrame carries an explicit partition id ``pid`` in [0, ell)
-(see ``partitioning``). Two execution backends compute the same thing:
+(see ``partitioning``). Round 1 runs ``partitionBy(ell)`` on
+(pid, point) pairs followed by ``mapPartitions``: one Spark partition per
+subset S_i, exactly mirroring "one reducer per subset" of the 2-round
+MapReduce schema.
 
-* ``rdd``  — ``partitionBy(ell)`` on (pid, point) pairs followed by
-  ``mapPartitions``: one Spark partition per subset S_i, exactly mirroring
-  "one reducer per subset" of the 2-round MapReduce schema. This is the
-  default, because the paper's contribution *is* this dataflow.
-* ``df``   — ``groupBy("pid").applyInPandas``: the Catalyst/DataFrame
-  rendering of the same computation.
+Within a subset, points are sorted by ``id`` before running GMM, so the
+coresets depend only on the pid assignment, not on the input frame's
+partitioning or the shuffle's arrival order (GMM's output depends on input
+order through the arbitrary first center).
 
-Within a subset, points are sorted by ``id`` before running GMM so both
-backends produce bit-identical coresets for identical pid assignments
-(GMM's output depends on input order through the arbitrary first center).
-
-Each backend returns the union of the weighted coresets as driver-side
-numpy arrays — which is precisely what round 2 consumes ("the union of the
+The union of the weighted coresets is returned as driver-side numpy
+arrays — which is precisely what round 2 consumes ("the union of the
 coresets is gathered into a single reducer").
 """
 from __future__ import annotations
@@ -28,11 +25,6 @@ import numpy as np
 from pyspark.sql import DataFrame
 
 from repro.core.gmm import gmm_coreset_adaptive, gmm_coreset_fixed
-
-_OUT_SCHEMA = "pid int, features array<double>, weight long, part_size long"
-
-BACKENDS = ("rdd", "df")
-
 
 @dataclass(frozen=True)
 class CoresetSpec:
@@ -87,7 +79,7 @@ def _coreset_rows(pid: int, ids, feats, spec: CoresetSpec):
         yield (int(pid), [float(v) for v in c], int(w), int(n))
 
 
-def _rdd_partition(
+def _partition_coresets(
     it: Iterator[tuple[int, tuple[int, list]]], spec: CoresetSpec
 ):
     """mapPartitions body: group by pid (one pid per partition under
@@ -101,42 +93,17 @@ def _rdd_partition(
         yield from _coreset_rows(pid, ids, feats, spec)
 
 
-def _df_group(pdf, spec: CoresetSpec):
-    import pandas as pd  # executor-side import
-
-    pid = int(pdf["pid"].iloc[0])
-    rows = list(
-        _coreset_rows(pid, pdf["id"].to_numpy(), list(pdf["features"]), spec)
-    )
-    return pd.DataFrame(
-        rows, columns=["pid", "features", "weight", "part_size"]
-    )
-
-
-def run_round1(
-    df: DataFrame, ell: int, spec: CoresetSpec, *, backend: str = "rdd"
-) -> Round1Result:
+def run_round1(df: DataFrame, ell: int, spec: CoresetSpec) -> Round1Result:
     """Execute round 1 over ``df`` (schema id/pid/features) and collect the
     union of the weighted coresets at the driver."""
-    if backend == "rdd":
-        pairs = df.select("pid", "id", "features").rdd.map(
-            lambda row: (row.pid, (row.id, row.features))
-        )
-        out = pairs.partitionBy(ell, lambda pid: int(pid)).mapPartitions(
-            partial(_rdd_partition, spec=spec)
-        )
-        rows = out.collect()
-    elif backend == "df":
-        def _group_fn(pdf):
-            return _df_group(pdf, spec)
-
-        out = df.groupBy("pid").applyInPandas(_group_fn, schema=_OUT_SCHEMA)
-        rows = [
-            (r.pid, r.features, r.weight, r.part_size) for r in out.collect()
-        ]
-    else:
-        raise ValueError(f"unknown backend {backend!r}; expected {BACKENDS}")
-
+    pairs = df.select("pid", "id", "features").rdd.map(
+        lambda row: (row.pid, (row.id, row.features))
+    )
+    rows = (
+        pairs.partitionBy(ell, lambda pid: int(pid))
+        .mapPartitions(partial(_partition_coresets, spec=spec))
+        .collect()
+    )
     if not rows:
         raise ValueError("round 1 produced an empty coreset union")
     # Deterministic driver-side order regardless of shuffle arrival order.

@@ -23,14 +23,13 @@ guess, mirroring BASESTREAM.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.metric import as_points, cdist, pairwise_min_gap
+from repro.core.metric import cdist, finite_points
 from repro.core.search import min_feasible_radius_exact
-from repro.streaming.coreset_stream import StreamResult
+from repro.streaming.common import StreamResult, guess_ladder_stream
 
 
 @dataclass
@@ -92,6 +91,17 @@ class _OutlierInstance:
         return np.asarray(pts) if pts else np.empty((0, 0))
 
 
+def _complete(best: _OutlierInstance, k: int, z: int) -> np.ndarray:
+    """Offline completion on the O(k*z) stored points: the [16] search with
+    unit weights yields the final k centers."""
+    stored = best.stored_points()
+    search = min_feasible_radius_exact(
+        stored, np.ones(len(stored)), k, min(z, max(0, len(stored) - 1)),
+        eps_hat=0.0,
+    )
+    return search.centers(stored)
+
+
 def base_stream_outliers(
     points, k: int, z: int, *, m: int = 1
 ) -> StreamResult:
@@ -100,63 +110,13 @@ def base_stream_outliers(
     Seeding mirrors BASESTREAM: buffer k+z+1 points to fix the distance
     scale, then start instances on the geometric ladder g * 2^(i/m).
     """
-    points = as_points(points)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    points = finite_points(points)
     if z < 1:
         raise ValueError("z must be >= 1 (use base_stream_kcenter for z=0)")
-    n, _ = points.shape
-    t0 = time.perf_counter()
-    buf: list[np.ndarray] = []
-    instances: list[_OutlierInstance] = []
-    start = 0
-    for start in range(n):
-        buf.append(points[start])
-        if len(buf) >= k + z + 1:
-            gap = pairwise_min_gap(np.asarray(buf))
-            if gap > 0.0:
-                base = gap / 2.0
-                instances = [
-                    _OutlierInstance(k=k, z=z, r=base * 2.0 ** (i / m))
-                    for i in range(m)
-                ]
-                for inst in instances:
-                    for p in buf:
-                        inst.add(p)
-                break
-    if not instances:
-        uniq = np.unique(np.asarray(buf), axis=0)
-        t1 = time.perf_counter()
-        dt = t1 - t0
-        return StreamResult(
-            centers=uniq[:k],
-            space=len(buf),
-            throughput=n / dt if dt > 0 else float("inf"),
-            n_processed=n,
-            t_stream=dt,
-            t_final=0.0,
-        )
-    for i in range(start + 1, n):
-        p = points[i]
-        for inst in instances:
-            inst.add(p)
-    t1 = time.perf_counter()
-    best = min(instances, key=lambda inst: inst.r)
-    stored = best.stored_points()
-    # Offline completion on the O(k*z) stored points: the [16] search with
-    # unit weights yields the final k centers.
-    search = min_feasible_radius_exact(
-        stored, np.ones(len(stored)), k, min(z, max(0, len(stored) - 1)),
-        eps_hat=0.0,
-    )
-    centers = search.centers(stored)
-    t2 = time.perf_counter()
-    dt = t1 - t0
-    return StreamResult(
-        centers=centers,
+    return guess_ladder_stream(
+        points, k, m,
+        seed_size=k + z + 1,
+        new_instance=lambda r: _OutlierInstance(k=k, z=z, r=r),
+        finish=lambda best: _complete(best, k, z),
         space=m * (k * z + z + k),
-        throughput=n / dt if dt > 0 else float("inf"),
-        n_processed=n,
-        t_stream=dt,
-        t_final=t2 - t1,
     )

@@ -16,13 +16,12 @@ as [27].
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.metric import as_points, cdist, pairwise_min_gap
-from repro.streaming.coreset_stream import StreamResult
+from repro.core.metric import cdist, finite_points
+from repro.streaming.common import StreamResult, guess_ladder_stream
 
 
 @dataclass
@@ -62,59 +61,13 @@ def base_stream_kcenter(points, k: int, *, m: int = 1) -> StreamResult:
     """Run BASESTREAM with ``m`` parallel instances (space m*k).
 
     Instances are seeded after the first k+1 distinct points with guesses
-    g * 2^(i/m), i in [0, m): a geometric ladder of granularity 2^(1/m), so
-    larger m gives a finer guess and a tighter radius.
+    g * 2^(i/m), i in [0, m) (see ``guess_ladder_stream``), so larger m
+    gives a finer guess and a tighter radius.
     """
-    points = as_points(points)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    n, _ = points.shape
-    t0 = time.perf_counter()
-    # Seed: buffer until k+1 distinct points fix a scale for the guesses.
-    buf: list[np.ndarray] = []
-    instances: list[_Instance] = []
-    start = 0
-    for start in range(n):
-        buf.append(points[start])
-        if len(buf) >= k + 1:
-            gap = pairwise_min_gap(np.asarray(buf))
-            if gap > 0.0:
-                base = gap / 2.0
-                instances = [
-                    _Instance(k=k, r=base * 2.0 ** (i / m)) for i in range(m)
-                ]
-                for inst in instances:
-                    for p in buf:
-                        inst.add(p)
-                break
-    if not instances:
-        # Fewer than k+1 distinct points: the distinct points are an exact
-        # solution with radius 0.
-        uniq = np.unique(np.asarray(buf), axis=0)
-        t1 = time.perf_counter()
-        dt = t1 - t0
-        return StreamResult(
-            centers=uniq[:k],
-            space=len(buf),
-            throughput=n / dt if dt > 0 else float("inf"),
-            n_processed=n,
-            t_stream=dt,
-            t_final=0.0,
-        )
-    for i in range(start + 1, n):
-        p = points[i]
-        for inst in instances:
-            inst.add(p)
-    t1 = time.perf_counter()
-    best = min(instances, key=lambda inst: inst.r)
-    centers = np.asarray(best.centers)
-    t2 = time.perf_counter()
-    dt = t1 - t0
-    return StreamResult(
-        centers=centers,
+    return guess_ladder_stream(
+        finite_points(points), k, m,
+        seed_size=k + 1,
+        new_instance=lambda r: _Instance(k=k, r=r),
+        finish=lambda best: np.asarray(best.centers),
         space=m * k,
-        throughput=n / dt if dt > 0 else float("inf"),
-        n_processed=n,
-        t_stream=dt,
-        t_final=t2 - t1,
     )

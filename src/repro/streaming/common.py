@@ -1,0 +1,100 @@
+"""What the streaming algorithms share: the result record, and the [27]
+seeding and guess ladder of the two baselines (BASESTREAM, BASEOUTLIERS).
+"""
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from repro.core.metric import pairwise_min_gap
+
+
+@dataclass(frozen=True)
+class StreamResult:
+    """Centers plus the metrics the streaming experiments report."""
+
+    centers: np.ndarray
+    space: int  # peak number of stored points (the "space" axis of Figs 3/5)
+    throughput: float  # points / second over the pass
+    n_processed: int
+    t_stream: float  # time spent consuming the stream
+    t_final: float  # post-pass computation on the working memory
+
+    @classmethod
+    def timed(
+        cls, centers, space: int, n_processed: int, t0: float, t1: float,
+        t2: float,
+    ) -> "StreamResult":
+        """Record a run whose pass spans [t0, t1] and whose post-pass step
+        spans [t1, t2]."""
+        dt = t1 - t0
+        return cls(
+            centers=centers,
+            space=space,
+            throughput=n_processed / dt if dt > 0 else float("inf"),
+            n_processed=n_processed,
+            t_stream=dt,
+            t_final=t2 - t1,
+        )
+
+
+def guess_ladder_stream(
+    points: np.ndarray,
+    k: int,
+    m: int,
+    *,
+    seed_size: int,
+    new_instance: Callable[[float], object],
+    finish: Callable[[object], np.ndarray],
+    space: int,
+) -> StreamResult:
+    """Run ``m`` guess-based instances of a [27] baseline over ``points``.
+
+    Points are buffered until ``seed_size`` of them have a positive minimum
+    gap g, which fixes the distance scale. Then ``m`` instances start with
+    guesses (g/2) * 2^(i/m), i in [0, m): a geometric ladder of granularity
+    2^(1/m), so larger m gives a finer guess. Each instance (built by
+    ``new_instance(r)``; it exposes ``add(p)`` and its current guess ``r``)
+    replays the buffer and then sees every remaining point in order. At end
+    of stream ``finish`` turns the instance with the smallest surviving
+    guess into centers; its time is the post-pass time.
+
+    If no scale is ever fixed (the stream ends first, or a repeated point
+    in the buffer keeps the gap at 0), the first k distinct buffered points
+    in sorted order are returned.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    n = len(points)
+    t0 = time.perf_counter()
+    buf: list[np.ndarray] = []
+    instances: list = []
+    start = 0
+    for start in range(n):
+        buf.append(points[start])
+        if len(buf) >= seed_size:
+            gap = pairwise_min_gap(np.asarray(buf))
+            if gap > 0.0:
+                base = gap / 2.0
+                instances = [
+                    new_instance(base * 2.0 ** (i / m)) for i in range(m)
+                ]
+                for inst in instances:
+                    for p in buf:
+                        inst.add(p)
+                break
+    if not instances:
+        uniq = np.unique(np.asarray(buf), axis=0)
+        t1 = time.perf_counter()
+        return StreamResult.timed(uniq[:k], len(buf), n, t0, t1, t1)
+    for i in range(start + 1, n):
+        p = points[i]
+        for inst in instances:
+            inst.add(p)
+    t1 = time.perf_counter()
+    centers = finish(min(instances, key=lambda inst: inst.r))
+    t2 = time.perf_counter()
+    return StreamResult.timed(centers, space, n, t0, t1, t2)

@@ -12,9 +12,9 @@ import time
 
 import numpy as np
 
-from repro.core.metric import as_points
+from repro.core.metric import finite_points
 from repro.core.search import min_feasible_radius
-from repro.streaming.coreset_stream import StreamResult
+from repro.streaming.common import StreamResult
 from repro.streaming.doubling import DoublingCoreset
 
 
@@ -33,7 +33,7 @@ def coreset_stream_outliers(
     {1, 2, 4, 8, 16}. ``eps_hat`` parameterizes OutliersCluster and the
     radius-search tolerance, exactly as in the MapReduce second round.
     """
-    points = as_points(points)
+    points = finite_points(points)
     if tau is None:
         tau = max(k + z, int(np.ceil(mu * (k + z))))
     if tau < k + z:
@@ -46,12 +46,6 @@ def coreset_stream_outliers(
     search = min_feasible_radius(T, w, k, z, eps_hat)
     centers = search.centers(T)
     t2 = time.perf_counter()
-    dt = t1 - t0
-    return StreamResult(
-        centers=centers,
-        space=coreset.peak_size,
-        throughput=len(points) / dt if dt > 0 else float("inf"),
-        n_processed=coreset.n_processed,
-        t_stream=dt,
-        t_final=t2 - t1,
+    return StreamResult.timed(
+        centers, coreset.peak_size, coreset.n_processed, t0, t1, t2
     )

@@ -8,25 +8,13 @@ Space O(tau); approximation (2+eps) for tau = k*(1/eps)^D.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.gmm import gmm
-from repro.core.metric import as_points
+from repro.core.metric import finite_points
+from repro.streaming.common import StreamResult
 from repro.streaming.doubling import DoublingCoreset
-
-
-@dataclass(frozen=True)
-class StreamResult:
-    """Centers plus the metrics the streaming experiments report."""
-
-    centers: np.ndarray
-    space: int  # peak number of stored points (the "space" axis of Figs 3/5)
-    throughput: float  # points / second over the pass
-    n_processed: int
-    t_stream: float  # time spent consuming the stream
-    t_final: float  # post-pass computation on the working memory
 
 
 def coreset_stream_kcenter(points, k: int, *, tau: int | None = None,
@@ -36,7 +24,7 @@ def coreset_stream_kcenter(points, k: int, *, tau: int | None = None,
     ``tau`` defaults to ceil(mu * k); the Figure 3 sweep varies mu over
     {1, 2, 4, 8, 16}.
     """
-    points = as_points(points)
+    points = finite_points(points)
     if tau is None:
         tau = max(k, int(np.ceil(mu * k)))
     if tau < k:
@@ -49,12 +37,6 @@ def coreset_stream_kcenter(points, k: int, *, tau: int | None = None,
     final = gmm(T, min(k, len(T)))
     centers = final.centers(T)
     t2 = time.perf_counter()
-    dt = t1 - t0
-    return StreamResult(
-        centers=centers,
-        space=coreset.peak_size,
-        throughput=len(points) / dt if dt > 0 else float("inf"),
-        n_processed=coreset.n_processed,
-        t_stream=dt,
-        t_final=t2 - t1,
+    return StreamResult.timed(
+        centers, coreset.peak_size, coreset.n_processed, t0, t1, t2
     )

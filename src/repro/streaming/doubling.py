@@ -78,20 +78,22 @@ class DoublingCoreset:
         """
         while True:
             if self.phi == 0.0:
-                self._dedupe_coincident()
+                self._fold(0.0)
                 if self._m <= self.tau:
                     return
                 gap = pairwise_min_gap(self._pts[: self._m])
                 self.phi = gap / 2.0
             self.phi *= 2.0
-            self._enforce_separation()
+            self._fold(4.0 * self.phi)
             if self._m <= self.tau:
                 return
 
-    def _enforce_separation(self) -> None:
-        """Re-establish invariant (b): keep a maximal prefix-greedy subset
-        with pairwise distance > 4*phi; fold each discarded center's weight
-        into the nearest kept one (the proxy reassignment)."""
+    def _fold(self, thresh: float) -> None:
+        """Keep a maximal prefix-greedy subset of centers pairwise farther
+        than ``thresh`` apart; fold each discarded center's weight into the
+        nearest kept one (the proxy reassignment). ``thresh = 4*phi``
+        re-establishes invariant (b); ``thresh = 0`` folds exact duplicates
+        while phi is still 0."""
         m = self._m
         if m < 2:
             return
@@ -103,7 +105,7 @@ class DoublingCoreset:
             if keep:
                 dk = D[i, keep]
                 j = int(np.argmin(dk))
-                if dk[j] <= 4.0 * self.phi:
+                if dk[j] <= thresh:
                     merged_into[i] = keep[j]
                     continue
             keep.append(i)
@@ -127,7 +129,7 @@ class DoublingCoreset:
         if self.phi == 0.0:
             # Coincident seed points: fold duplicates (distance 0 <= 4*phi
             # requires phi > 0, so dedupe explicitly), keep phi = 0.
-            self._dedupe_coincident()
+            self._fold(0.0)
             if self._m > self.tau:
                 raise AssertionError("dedupe left more than tau centers")
             return
@@ -137,29 +139,7 @@ class DoublingCoreset:
             # re-establishing (a) — the paper's prescribed end-of-init step.
             self._merge_rule()
         else:
-            self._enforce_separation()
-
-    def _dedupe_coincident(self) -> None:
-        m = self._m
-        pts, w = self._pts[:m], self._w[:m]
-        D = cdist(pts, pts)
-        keep: list[int] = []
-        merged_into = np.full(m, -1, dtype=np.int64)
-        for i in range(m):
-            if keep:
-                dk = D[i, keep]
-                j = int(np.argmin(dk))
-                if dk[j] == 0.0:
-                    merged_into[i] = keep[j]
-                    continue
-            keep.append(i)
-        new_w = w.copy()
-        for i in range(m):
-            if merged_into[i] >= 0:
-                new_w[merged_into[i]] += new_w[i]
-        self._pts[: len(keep)] = pts[keep]
-        self._w[: len(keep)] = new_w[keep]
-        self._m = len(keep)
+            self._fold(4.0 * self.phi)
 
     # -- public API --------------------------------------------------------
 

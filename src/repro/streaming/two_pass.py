@@ -17,9 +17,9 @@ import time
 
 import numpy as np
 
-from repro.core.metric import as_points, cdist
+from repro.core.metric import cdist, finite_points
 from repro.core.search import min_feasible_radius
-from repro.streaming.coreset_stream import StreamResult
+from repro.streaming.common import StreamResult
 from repro.streaming.doubling import DoublingCoreset
 
 
@@ -31,7 +31,7 @@ def two_pass_outliers(
     ``eps`` is the overall precision (the algorithm uses eps_hat = eps/6
     internally, as in Theorem 3).
     """
-    points = as_points(points)
+    points = finite_points(points)
     n, d = points.shape
     eps_hat = eps / 6.0
     t0 = time.perf_counter()
@@ -61,12 +61,6 @@ def two_pass_outliers(
     search = min_feasible_radius(Ta, wa, k, z, eps_hat)
     centers = search.centers(Ta)
     t2 = time.perf_counter()
-    dt = t1 - t0
-    return StreamResult(
-        centers=centers,
-        space=max(first.peak_size, len(Ta)),
-        throughput=(2 * n) / dt if dt > 0 else float("inf"),
-        n_processed=2 * n,
-        t_stream=dt,
-        t_final=t2 - t1,
+    return StreamResult.timed(
+        centers, max(first.peak_size, len(Ta)), 2 * n, t0, t1, t2
     )

@@ -132,12 +132,6 @@ class TestGapsAndDiameter:
         pts = np.array([[1.0, 1], [1.0, 1], [3.0, 3]])
         assert metric.pairwise_min_gap(pts) == 0.0
 
-    def test_diameter_bound_covers(self):
-        g = np.random.default_rng(5)
-        pts = g.normal(size=(50, 4))
-        true_diam = metric.cdist(pts, pts).max()
-        assert metric.diameter_upper_bound(pts) >= true_diam - 1e-9
-
 
 class TestBruteForce:
     def test_kcenter_known_instance(self):

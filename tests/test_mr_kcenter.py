@@ -2,11 +2,14 @@
 (Section 3.1) on the session SparkSession."""
 import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core.gmm import gmm
 from repro.core.metric import brute_force_kcenter, radius
+from repro.data.datasets import to_spark
 from repro.mapreduce.kcenter import mr_kcenter
-from repro.mapreduce.round1 import CoresetSpec
+from repro.mapreduce.partitioning import make_pids
+from repro.mapreduce.round1 import CoresetSpec, run_round1
 from tests.conftest import planted_clusters
 
 
@@ -53,12 +56,6 @@ class TestEndToEnd:
         assert res.radius < 5.0
         assert len(res.centers) == 4
 
-    def test_backends_agree(self, spark, blobs4):
-        a = mr_kcenter(spark, blobs4, k=4, ell=4, tau=8, backend="rdd")
-        b = mr_kcenter(spark, blobs4, k=4, ell=4, tau=8, backend="df")
-        np.testing.assert_allclose(a.centers, b.centers)
-        assert a.radius == pytest.approx(b.radius)
-
     def test_ell1_equals_sequential_gmm(self, spark, blobs4):
         """With ell=1 and tau=n the coreset is all of S, so round 2's GMM
         must equal plain sequential GMM on S. The driver re-sorts the
@@ -85,6 +82,27 @@ class TestEndToEnd:
         assert res.t_coreset > 0 and res.t_final >= 0
 
 
+class TestRound1:
+    @pytest.mark.parametrize(
+        "spec", [CoresetSpec(tau=8), CoresetSpec(k_base=4, eps=0.5)],
+        ids=["fixed", "adaptive"],
+    )
+    def test_independent_of_row_order_and_partitioning(
+        self, spark, blobs4, spec
+    ):
+        """Each reducer sorts its subset by id, so round 1 depends only on
+        the pid assignment: not on the frame's row order, its Spark
+        partitioning or the order in which the shuffle delivers rows."""
+        pids = make_pids(len(blobs4), 4, "random", seed=3)
+        df = to_spark(spark, blobs4, pids=pids)
+        moved = df.orderBy(F.rand(seed=5)).repartition(7)
+        a = run_round1(df, 4, spec)
+        b = run_round1(moved, 4, spec)
+        for name in ("points", "weights", "pids"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert a.part_sizes == b.part_sizes
+
+
 class TestValidation:
     def test_bad_k(self, spark, blobs4):
         with pytest.raises(ValueError):
@@ -99,7 +117,3 @@ class TestValidation:
             CoresetSpec()
         with pytest.raises(ValueError):
             CoresetSpec(tau=5, k_base=3, eps=0.5)
-
-    def test_unknown_backend(self, spark, blobs4):
-        with pytest.raises(ValueError):
-            mr_kcenter(spark, blobs4, k=4, ell=2, tau=8, backend="nope")

@@ -77,18 +77,6 @@ class TestDeterministic:
         )
         assert res.radius <= (3 + eps) * opt + 1e-6
 
-    def test_backends_agree(self, spark, blobs_out):
-        pts, mask = blobs_out
-        z = int(mask.sum())
-        a = mr_kcenter_outliers(
-            spark, pts, k=3, z=z, ell=4, tau=z + 10, backend="rdd"
-        )
-        b = mr_kcenter_outliers(
-            spark, pts, k=3, z=z, ell=4, tau=z + 10, backend="df"
-        )
-        np.testing.assert_allclose(a.centers, b.centers)
-        assert a.radius == pytest.approx(b.radius)
-
     def test_search_radius_feasible_scale(self, spark, blobs_out):
         pts, mask = blobs_out
         z = int(mask.sum())

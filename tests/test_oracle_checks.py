@@ -143,34 +143,3 @@ class TestDistributedEvaluator:
         assert radius_spark(df, centers, z=z) == pytest.approx(
             radius(X, centers, z), rel=1e-9
         )
-
-
-class TestProvidedGenerators:
-    """Exercise the shipped TPC-H-lite generators + oracle path end-to-end
-    (the repo's standard correctness harness)."""
-
-    def test_lineitem_aggregate(self, spark):
-        from repro.synth_data import lineitem
-
-        li = lineitem(spark, sf=0.001, seed=0)
-        sql = (
-            "SELECT l_returnflag AS flag, count(*) AS cnt, "
-            "round(sum(l_quantity), 2) AS qty "
-            "FROM lineitem GROUP BY l_returnflag"
-        )
-        li.createOrReplaceTempView("lineitem")
-        assert_equivalent(spark.sql(sql), sql, lineitem=li)
-
-    def test_join_orders_lineitem(self, spark):
-        from repro.synth_data import lineitem, orders
-
-        li = lineitem(spark, sf=0.001, seed=0)
-        o = orders(spark, sf=0.001, seed=1)
-        li.createOrReplaceTempView("lineitem")
-        o.createOrReplaceTempView("orders")
-        sql = (
-            "SELECT o.o_orderpriority AS prio, count(*) AS cnt "
-            "FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey "
-            "GROUP BY o.o_orderpriority"
-        )
-        assert_equivalent(spark.sql(sql), sql, lineitem=li, orders=o)
