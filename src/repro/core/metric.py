@@ -49,16 +49,20 @@ def finite_points(x) -> np.ndarray:
 def cdist(a, b) -> np.ndarray:
     """Dense Euclidean distance matrix of shape ``(len(a), len(b))``.
 
-    Uses the expanded ``|a|^2 + |b|^2 - 2ab`` form (one GEMM) with clipping
-    to guard the tiny negative values the expansion can produce.
+    Uses the expanded ``(|a|^2 + |b|^2) - 2ab`` form (one GEMM) with clipping
+    to guard the tiny negative values the expansion can produce. The sum,
+    the doubling, the difference, the clip and the square root are done in
+    place, so at most two ``len(a) x len(b)`` buffers are live at once; the
+    operations and their order are those of the plain expression, so the
+    result is bit-for-bit the same.
     """
     a, b = as_points(a), as_points(b)
-    sq = (
-        (a * a).sum(axis=1)[:, None]
-        + (b * b).sum(axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return np.sqrt(np.clip(sq, 0.0, None))
+    out = np.add.outer((a * a).sum(axis=1), (b * b).sum(axis=1))
+    ab = a @ b.T
+    ab *= 2.0
+    out -= ab
+    np.clip(out, 0.0, None, out=out)
+    return np.sqrt(out, out=out)
 
 
 def min_dist(points, centers) -> tuple[np.ndarray, np.ndarray]:

@@ -34,14 +34,20 @@ from repro.core.outliers_cluster import OutliersClusterResult, outliers_cluster
 class RadiusSearchResult:
     """``r``: the radius returned by the search (feasible by construction).
     ``cluster``: the OutliersCluster output at radius ``r``.
-    ``evaluations``: number of OutliersCluster runs performed (reported by
-    the sequential-experiment harness; the paper's cost model charges
-    O(k |T|^2) per evaluation).
+    ``trace``: one ``(r, uncovered_weight, n_centers)`` per OutliersCluster
+    evaluation, in probe order.
     """
 
     r: float
     cluster: OutliersClusterResult
-    evaluations: int
+    trace: tuple[tuple[float, float, int], ...]
+
+    @property
+    def evaluations(self) -> int:
+        """Number of OutliersCluster runs performed (reported by the
+        sequential-experiment harness; each costs one pass over the |T|^2
+        matrix, see ``outliers_cluster``)."""
+        return len(self.trace)
 
     def centers(self, T) -> np.ndarray:
         return as_points(T)[self.cluster.centers_idx]
@@ -54,6 +60,20 @@ def default_delta(eps_hat: float) -> float:
 
 def _feasible(res: OutliersClusterResult, z: float) -> bool:
     return res.uncovered_weight <= z
+
+
+def _prober(T, w, k: int, eps_hat: float, D):
+    """Return ``(run, trace)``: ``run(r)`` is OutliersCluster on T at radius
+    r over the shared matrix ``D``, and appends each evaluation to the
+    ``trace`` list."""
+    trace: list = []
+
+    def run(r: float) -> OutliersClusterResult:
+        res = outliers_cluster(T, w, k, r, eps_hat, dist_matrix=D)
+        trace.append((r, res.uncovered_weight, res.n_centers))
+        return res
+
+    return run, trace
 
 
 def min_feasible_radius(
@@ -80,25 +100,20 @@ def min_feasible_radius(
         # exact-candidate search below.
         raise ValueError("delta must be positive; use min_feasible_radius_exact")
     D = cdist(T, T)
-    evaluations = 0
-
-    def run(r: float) -> OutliersClusterResult:
-        nonlocal evaluations
-        evaluations += 1
-        return outliers_cluster(T, w, k, r, eps_hat, dist_matrix=D)
+    run, trace = _prober(T, w, k, eps_hat, D)
 
     # r = 0 covers only coincident points; if that is already feasible
     # (e.g. z >= total weight, or <= k distinct locations) we are done.
     res0 = run(0.0)
     if _feasible(res0, z):
-        return RadiusSearchResult(r=0.0, cluster=res0, evaluations=evaluations)
+        return RadiusSearchResult(0.0, res0, tuple(trace))
 
-    off_diag = D[D > 0.0]
-    if off_diag.size == 0:
+    lo_d = float(np.min(D, where=D > 0.0, initial=np.inf))
+    if lo_d == np.inf:
         # All points coincide yet r=0 was infeasible: cannot happen, since a
         # single center would cover everything — guard anyway.
-        return RadiusSearchResult(r=0.0, cluster=res0, evaluations=evaluations)
-    lo_d, hi_d = float(off_diag.min()), float(D.max())
+        return RadiusSearchResult(0.0, res0, tuple(trace))
+    hi_d = float(D.max())
 
     # Geometric grid lo_d * (1+delta)^j covering [lo_d, hi_d].
     n_steps = max(1, math.ceil(math.log(hi_d / lo_d) / math.log1p(delta)))
@@ -127,9 +142,7 @@ def min_feasible_radius(
     while not _feasible(best_res, z):
         best_j += 1
         best_res = run(grid(best_j))
-    return RadiusSearchResult(
-        r=grid(best_j), cluster=best_res, evaluations=evaluations
-    )
+    return RadiusSearchResult(grid(best_j), best_res, tuple(trace))
 
 
 def min_feasible_radius_exact(
@@ -148,18 +161,13 @@ def min_feasible_radius_exact(
     T = as_points(T)
     w = np.asarray(weights, dtype=np.float64)
     D = cdist(T, T)
-    evaluations = 0
-
-    def run(r: float) -> OutliersClusterResult:
-        nonlocal evaluations
-        evaluations += 1
-        return outliers_cluster(T, w, k, r, eps_hat, dist_matrix=D)
+    run, trace = _prober(T, w, k, eps_hat, D)
 
     cand = np.unique(D)  # sorted, includes 0
     lo, hi = 0, len(cand) - 1
     res = run(float(cand[lo]))
     if _feasible(res, z):
-        return RadiusSearchResult(float(cand[lo]), res, evaluations)
+        return RadiusSearchResult(float(cand[lo]), res, tuple(trace))
     best_i, best_res = None, None
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -173,7 +181,7 @@ def min_feasible_radius_exact(
     while not _feasible(best_res, z):
         best_i += 1
         best_res = run(float(cand[best_i]))
-    return RadiusSearchResult(float(cand[best_i]), best_res, evaluations)
+    return RadiusSearchResult(float(cand[best_i]), best_res, tuple(trace))
 
 
 def charikar(points, k: int, z: int) -> RadiusSearchResult:

@@ -107,8 +107,8 @@ def base_stream_outliers(
 ) -> StreamResult:
     """Run BASEOUTLIERS with ``m`` parallel instances (space m*(k*z+z+k)).
 
-    Seeding mirrors BASESTREAM: buffer k+z+1 points to fix the distance
-    scale, then start instances on the geometric ladder g * 2^(i/m).
+    Seeding mirrors BASESTREAM: buffer until k+z+1 distinct points fix the
+    distance scale, then start instances on the geometric ladder g * 2^(i/m).
     """
     points = finite_points(points)
     if z < 1:

@@ -53,30 +53,36 @@ def guess_ladder_stream(
 ) -> StreamResult:
     """Run ``m`` guess-based instances of a [27] baseline over ``points``.
 
-    Points are buffered until ``seed_size`` of them have a positive minimum
-    gap g, which fixes the distance scale. Then ``m`` instances start with
-    guesses (g/2) * 2^(i/m), i in [0, m): a geometric ladder of granularity
-    2^(1/m), so larger m gives a finer guess. Each instance (built by
-    ``new_instance(r)``; it exposes ``add(p)`` and its current guess ``r``)
-    replays the buffer and then sees every remaining point in order. At end
-    of stream ``finish`` turns the instance with the smallest surviving
-    guess into centers; its time is the post-pass time.
+    Points are buffered until ``seed_size`` of them are distinct; the
+    minimum gap g between the distinct buffered points fixes the distance
+    scale (a repeated point would otherwise keep the gap at 0). Then ``m``
+    instances start with guesses (g/2) * 2^(i/m), i in [0, m): a geometric
+    ladder of granularity 2^(1/m), so larger m gives a finer guess. Each
+    instance (built by ``new_instance(r)``; it exposes ``add(p)`` and its
+    current guess ``r``) replays the buffer and then sees every remaining
+    point in order. At end of stream ``finish`` turns the instance with the
+    smallest surviving guess into centers; its time is the post-pass time.
 
-    If no scale is ever fixed (the stream ends first, or a repeated point
-    in the buffer keeps the gap at 0), the first k distinct buffered points
-    in sorted order are returned.
+    If no scale is ever fixed (the stream ends before ``seed_size``
+    distinct points with a positive gap arrive), the first k distinct
+    buffered points in sorted order are returned.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     n = len(points)
     t0 = time.perf_counter()
     buf: list[np.ndarray] = []
+    distinct: dict[bytes, np.ndarray] = {}  # first occurrences, in order
     instances: list = []
     start = 0
     for start in range(n):
-        buf.append(points[start])
-        if len(buf) >= seed_size:
-            gap = pairwise_min_gap(np.asarray(buf))
+        p = points[start]
+        buf.append(p)
+        if p.tobytes() in distinct:
+            continue
+        distinct[p.tobytes()] = p
+        if len(distinct) >= seed_size:
+            gap = pairwise_min_gap(np.asarray(list(distinct.values())))
             if gap > 0.0:
                 base = gap / 2.0
                 instances = [

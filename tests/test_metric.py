@@ -56,6 +56,27 @@ class TestCdist:
         a = np.full((3, 2), 1e8)
         assert (metric.cdist(a, a) >= 0).all()
 
+    @pytest.mark.parametrize("n", [1, 2, 17, 130])
+    @pytest.mark.parametrize("m", [1, 3, 64, 257])
+    @pytest.mark.parametrize("dim", [1, 7, 50])
+    def test_bitwise_equal_to_expanded_expression(self, n, m, dim):
+        """The in-place evaluation is the plain expanded expression,
+        bit for bit (including clipped near-duplicates), and leaves its
+        inputs alone."""
+        g = np.random.default_rng([n, m, dim])
+        a = g.normal(size=(n, dim)) * 10.0 ** g.integers(-3, 4)
+        b = g.normal(size=(m, dim)) * 10.0 ** g.integers(-3, 4)
+        b[: min(n, m) // 2] = a[: min(n, m) // 2]  # coincident pairs
+        a0, b0 = a.copy(), b.copy()
+        sa, sb = (a * a).sum(axis=1), (b * b).sum(axis=1)
+        expected = np.sqrt(
+            np.clip((sa[:, None] + sb[None, :]) - 2.0 * (a @ b.T), 0, None)
+        )
+        got = metric.cdist(a, b)
+        assert got.shape == (n, m)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
     def test_triangle_inequality(self):
         g = np.random.default_rng(2)
         p = g.normal(size=(5, 3))

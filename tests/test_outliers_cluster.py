@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.gmm import gmm_coreset_fixed
+from repro.core import outliers_cluster as oc_module
 from repro.core.metric import brute_force_kcenter_outliers, cdist, min_dist
 from repro.core.outliers_cluster import outliers_cluster
 
@@ -137,3 +138,64 @@ class TestLemma5:
         opt, _ = brute_force_kcenter_outliers(pts[::4], k, 2)  # rough scale
         res = outliers_cluster(pts, w, k, 10.0, 0.1)
         assert res.uncovered_weight <= z
+
+
+def _recompute_every_pick(D, w, k, r, eps_hat):
+    """Reference: Algorithm 1 with the gains recomputed from scratch at
+    every pick."""
+    in_ball = D <= (1.0 + 2.0 * eps_hat) * r
+    uncovered = np.ones(len(D), dtype=bool)
+    centers = []
+    while len(centers) < k and uncovered.any():
+        x = int((in_ball @ (w * uncovered)).argmax())
+        centers.append(x)
+        uncovered &= D[x] > (3.0 + 4.0 * eps_hat) * r
+    centers = np.asarray(centers, dtype=np.int64)
+    return centers, uncovered, float(w[uncovered].sum())
+
+
+def _instance(seed):
+    """A small weighted instance built to make ties frequent: points on an
+    integer grid (so many equal distances) with some rows duplicated,
+    integer weights, and a radius drawn from 0, the exact pairwise
+    distances, or in between. k ranges past the number of distinct points
+    (the early stop once everything is covered)."""
+    g = np.random.default_rng(seed)
+    n = int(g.integers(1, 70))
+    pts = g.integers(-4, 5, (n, int(g.integers(1, 4)))).astype(float)
+    dup = g.random(n) < 0.25
+    pts[dup] = pts[g.integers(0, n, int(dup.sum()))]
+    w = [np.ones(n), g.integers(1, 9, n), g.integers(1, 10**6, n)][
+        int(g.integers(0, 3))
+    ].astype(np.float64)
+    D = cdist(pts, pts)
+    kind = seed % 3
+    if kind == 0:
+        r = 0.0
+    elif kind == 1:
+        r = float(g.choice(np.unique(D)))
+    else:
+        r = float(g.uniform(0.0, D.max() + 1.0))
+    n_distinct = len(np.unique(pts, axis=0))
+    k = int(g.integers(1, n_distinct + 3))
+    eps_hat = float(g.choice([0.0, 0.05, 0.1]))
+    return pts, w, D, k, r, eps_hat
+
+
+class TestIncrementalGains:
+    """The incremental gain update returns exactly what recomputing the
+    gains at every pick returns (integer weights: exact float64 sums)."""
+
+    @pytest.mark.parametrize("block", [None, 1, 37])
+    def test_matches_recompute_every_pick(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(oc_module, "_BLOCK_ENTRIES", block)
+        for seed in range(240):
+            pts, w, D, k, r, eps_hat = _instance(seed)
+            ref_idx, ref_unc, ref_w = _recompute_every_pick(
+                D, w, k, r, eps_hat
+            )
+            res = outliers_cluster(pts, w, k, r, eps_hat, dist_matrix=D)
+            np.testing.assert_array_equal(res.centers_idx, ref_idx, str(seed))
+            np.testing.assert_array_equal(res.uncovered, ref_unc, str(seed))
+            assert res.uncovered_weight == ref_w, seed

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from repro.core.gmm import gmm_coreset_fixed
 from repro.core.metric import (
     brute_force_kcenter_outliers,
+    cdist,
     min_dist,
     radius,
 )
+from repro.core.outliers_cluster import outliers_cluster
 from repro.core.search import (
     charikar,
     default_delta,
@@ -132,3 +134,39 @@ class TestExactSearch:
         grid = min_feasible_radius(pts, w, 3, z, eps_hat)
         delta = default_delta(eps_hat)
         assert grid.r <= (1 + delta) * exact.r + 1e-9
+
+
+class TestTrace:
+    """Each search records one (r, uncovered_weight, n_centers) per
+    OutliersCluster evaluation, in probe order."""
+
+    @pytest.mark.parametrize("search", ["grid", "exact"])
+    def test_one_entry_per_evaluation(self, search, blobs_with_outliers):
+        pts, mask = blobs_with_outliers
+        z = int(mask.sum())
+        g = np.random.default_rng(4)
+        w = g.integers(1, 4, len(pts)).astype(float)
+        k, eps_hat = 3, 0.1
+        if search == "grid":
+            res = min_feasible_radius(pts, w, k, z, eps_hat)
+        else:
+            res = min_feasible_radius_exact(pts, w, k, z, eps_hat)
+        assert len(res.trace) == res.evaluations >= 2
+        assert res.trace[0][0] == 0.0  # both searches probe r = 0 first
+        D = cdist(pts, pts)
+        for r, unc_w, n_centers in res.trace:
+            again = outliers_cluster(pts, w, k, r, eps_hat, dist_matrix=D)
+            assert (unc_w, n_centers) == (
+                again.uncovered_weight, again.n_centers
+            )
+        assert (res.r, res.cluster.uncovered_weight, res.cluster.n_centers) \
+            in res.trace
+        # the answer is the smallest feasible radius probed
+        assert res.r == min(r for r, unc_w, _ in res.trace if unc_w <= z)
+
+    def test_immediately_feasible(self, three_blobs):
+        res = min_feasible_radius(
+            three_blobs, np.ones(len(three_blobs)), 2, len(three_blobs), 0.1
+        )
+        # two centers cover their own points; the other n - 2 are within z
+        assert res.trace == ((0.0, len(three_blobs) - 2.0, 2),)

@@ -149,6 +149,32 @@ class TestBaseOutliers:
             base_stream_outliers(pts, 3, 0, m=1)
 
 
+class TestEarlyRepeat:
+    """A point repeated among the first seed_size arrivals must not stop
+    the [27] baselines from seeding: they then store their instance budget,
+    not the whole stream."""
+
+    def test_base_stream_seeds(self, stream_blobs):
+        pts = stream_blobs.copy()
+        pts[1] = pts[0]
+        k, m = 4, 2
+        res = base_stream_kcenter(pts, k, m=m)
+        assert res.space == m * k
+        # one center per planted blob
+        assert len(np.unique(res.centers, axis=0)) == len(res.centers) == k
+        assert radius(pts, res.centers) < 10.0
+
+    def test_base_outliers_seeds(self, stream_blobs_outliers):
+        pts, z = stream_blobs_outliers
+        pts = pts.copy()
+        pts[1] = pts[0]
+        k, m = 3, 2
+        res = base_stream_outliers(pts, k, z, m=m)
+        assert res.space == m * (k * z + z + k)
+        assert len(np.unique(res.centers, axis=0)) == len(res.centers) == k
+        assert radius(pts, res.centers, z) < 20.0
+
+
 class TestTwoPass:
     def test_excludes_planted_outliers(self, stream_blobs_outliers):
         pts, z = stream_blobs_outliers
