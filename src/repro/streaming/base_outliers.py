@@ -29,7 +29,8 @@ import numpy as np
 
 from repro.core.metric import cdist, finite_points
 from repro.core.search import min_feasible_radius_exact
-from repro.streaming.common import StreamResult, guess_ladder_stream
+from repro.streaming import common
+from repro.streaming.common import StreamResult, first_far, guess_ladder_stream
 
 
 @dataclass
@@ -44,13 +45,22 @@ class _OutlierInstance:
     def free_cap(self) -> int:
         return self.k * self.z + self.z
 
-    def add(self, p: np.ndarray) -> None:
-        if self.centers:
-            d = cdist(p[None, :], np.asarray(self.centers))[0]
-            if float(d.min()) <= 4.0 * self.r:
-                return
-        self.free.append(p)
-        self._consolidate()
+    def process(self, points: np.ndarray) -> None:
+        """Read ``points`` in order. A point within 4r of a center is
+        covered and dropped, a block at a time (``first_far``); any other
+        point is stored as free and consolidated on its own."""
+        i, n = 0, len(points)
+        while i < n:
+            if self.centers:
+                block = points[i : i + common.BLOCK_ROWS]
+                D = cdist(block, np.asarray(self.centers))
+                f, _ = first_far(D, 4.0 * self.r)
+                i += f
+                if f == len(block):
+                    continue
+            self.free.append(points[i])
+            i += 1
+            self._consolidate()
 
     def _consolidate(self) -> None:
         """Promote dense free points to centers; escalate the guess when

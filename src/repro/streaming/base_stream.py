@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.metric import cdist, finite_points
-from repro.streaming.common import StreamResult, guess_ladder_stream
+from repro.streaming import common
+from repro.streaming.common import StreamResult, first_far, guess_ladder_stream
 
 
 @dataclass
@@ -33,15 +34,25 @@ class _Instance:
     r: float
     centers: list[np.ndarray] = field(default_factory=list)
 
-    def add(self, p: np.ndarray) -> None:
-        if self.centers:
-            d = cdist(p[None, :], np.asarray(self.centers))[0]
-            if float(d.min()) <= 2.0 * self.r:
-                return
-        self.centers.append(p)
-        while len(self.centers) > self.k:
-            self.r *= 2.0
-            self._recluster()
+    def process(self, points: np.ndarray) -> None:
+        """Read ``points`` in order. A point within 2r of a center is
+        covered; any other point opens a center, and while there are more
+        than k the guess doubles and the centers are re-clustered. Covered
+        points are found a block at a time (``first_far``)."""
+        i, n = 0, len(points)
+        while i < n:
+            if self.centers:
+                block = points[i : i + common.BLOCK_ROWS]
+                D = cdist(block, np.asarray(self.centers))
+                f, _ = first_far(D, 2.0 * self.r)
+                i += f
+                if f == len(block):
+                    continue
+            self.centers.append(points[i])
+            i += 1
+            while len(self.centers) > self.k:
+                self.r *= 2.0
+                self._recluster()
 
     def _recluster(self) -> None:
         """Keep a maximal subset of centers pairwise > 2r apart; dropped

@@ -15,21 +15,29 @@ afterwards, a point within 8*phi of T increments its nearest center's
 weight (*update rule*), a farther point becomes a new center, and whenever
 |T| exceeds tau the *merge rule* doubles phi and greedily merges centers
 closer than 4*phi until invariant (a) holds again.
+
+The update rule leaves T unchanged, so the stream is scanned a block of
+rows at a time (``common.first_far``): one ``cdist`` from the block to T,
+one ``bincount`` for the rows before the first one farther than 8*phi,
+then that row alone and a restart after it.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core.metric import as_points, cdist, pairwise_min_gap
+from repro.streaming import common
+from repro.streaming.common import first_far
 
 
 class DoublingCoreset:
     """Streaming weighted coreset of at most ``tau`` centers.
 
-    Feed points with :meth:`update` (or :meth:`process`); read the coreset
-    with :attr:`points` / :attr:`weights` / :attr:`phi`. ``peak_size``
-    records the largest |T| ever held (the working-memory claim: never more
-    than tau + 1).
+    Feed points with :meth:`process` (or :meth:`update` for one point);
+    read the coreset with :attr:`points` / :attr:`weights` / :attr:`phi`.
+    ``peak_size`` records the largest |T| ever held (the working-memory
+    claim: never more than tau + 1); ``doublings`` counts the merge rule's
+    phi doublings.
     """
 
     def __init__(self, tau: int, dim: int):
@@ -44,6 +52,7 @@ class DoublingCoreset:
         self.phi = 0.0
         self.n_processed = 0
         self.peak_size = 0
+        self.doublings = 0
         self._initialized = False
 
     # -- views -------------------------------------------------------------
@@ -84,6 +93,7 @@ class DoublingCoreset:
                 gap = pairwise_min_gap(self._pts[: self._m])
                 self.phi = gap / 2.0
             self.phi *= 2.0
+            self.doublings += 1
             self._fold(4.0 * self.phi)
             if self._m <= self.tau:
                 return
@@ -119,13 +129,14 @@ class DoublingCoreset:
         self._w[: len(keep)] = new_w[keep]
         self._m = len(keep)
 
-    def _init_from_buffer(self, buf: list[np.ndarray]) -> None:
-        for p in buf:
-            self._append(p, 1)
+    def _seed(self) -> None:
+        """T holds the first tau+1 points, weight 1 each: fix phi and merge
+        down to at most tau centers."""
         gap = pairwise_min_gap(self._pts[: self._m])
         # phi starts at half the min pairwise distance; the prescribed merge
         # is then applied so invariants (a)-(b) hold before the next point.
         self.phi = gap / 2.0 if gap > 0 else 0.0
+        self._initialized = True
         if self.phi == 0.0:
             # Coincident seed points: fold duplicates (distance 0 <= 4*phi
             # requires phi > 0, so dedupe explicitly), keep phi = 0.
@@ -133,45 +144,55 @@ class DoublingCoreset:
             if self._m > self.tau:
                 raise AssertionError("dedupe left more than tau centers")
             return
-        if self._m > self.tau:
-            # phi was set to half the closest seed gap, so after the merge
-            # rule doubles it that closest pair is within 4*phi and merges,
-            # re-establishing (a) — the paper's prescribed end-of-init step.
-            self._merge_rule()
-        else:
-            self._fold(4.0 * self.phi)
+        # phi was set to half the closest seed gap, so after the merge rule
+        # doubles it that closest pair is within 4*phi and merges,
+        # re-establishing (a) — the paper's prescribed end-of-init step.
+        self._merge_rule()
 
     # -- public API --------------------------------------------------------
 
     def update(self, point) -> None:
-        """Process one stream point."""
-        p = np.asarray(point, dtype=np.float64).reshape(-1)
-        if p.shape != (self.dim,):
-            raise ValueError(f"point dim {p.shape} != ({self.dim},)")
-        self.n_processed += 1
-        if not self._initialized:
-            self._append(p, 1)
-            if self._m == self.tau + 1:
-                m = self._m
-                buf = [self._pts[i].copy() for i in range(m)]
-                self._m = 0
-                self._w[:] = 0
-                self.peak_size = max(self.peak_size, m)
-                self._init_from_buffer(buf)
-                self._initialized = True
-            return
-        d = cdist(p[None, :], self._pts[: self._m])[0]
-        j = int(d.argmin())
-        if d[j] <= 8.0 * self.phi:
-            self._w[j] += 1  # update rule: p's proxy is center j
-            return
-        self._append(p, 1)
-        if self._m > self.tau:
-            self._merge_rule()
+        """Process one stream point: ``process`` of one row."""
+        self.process(np.asarray(point, dtype=np.float64).reshape(1, -1))
 
     def process(self, points) -> "DoublingCoreset":
-        for p in as_points(points):
-            self.update(p)
+        """Process ``points``, one row per stream point, in order.
+
+        The first tau+1 points fill the buffer by slice and seed T. After
+        that, each step computes the distances from the next
+        ``common.BLOCK_ROWS`` rows to T in one ``cdist`` call. The rows
+        before the first one farther than 8*phi take the update rule
+        together (one ``bincount``). That row becomes a center, the merge
+        rule runs if |T| > tau, and the scan restarts after it against the
+        new T.
+        """
+        P = as_points(points)
+        if P.shape[1] != self.dim:
+            raise ValueError(f"point dim {P.shape[1]} != {self.dim}")
+        n, i = len(P), 0
+        if not self._initialized:
+            i = min(n, self.tau + 1 - self._m)
+            self._pts[self._m : self._m + i] = P[:i]
+            self._w[self._m : self._m + i] = 1
+            self._m += i
+            self.n_processed += i
+            self.peak_size = max(self.peak_size, self._m)
+            if self._m == self.tau + 1:
+                self._seed()
+        while i < n:
+            block = P[i : i + common.BLOCK_ROWS]
+            m = self._m
+            f, nearest = first_far(cdist(block, self._pts[:m]), 8.0 * self.phi)
+            self._w[:m] += np.bincount(nearest, minlength=m)
+            self.n_processed += f
+            i += f
+            if f == len(block):
+                continue
+            self._append(block[f], 1)  # row f opens a center
+            self.n_processed += 1
+            i += 1
+            if self._m > self.tau:
+                self._merge_rule()
         return self
 
     def finalize(self) -> tuple[np.ndarray, np.ndarray, float]:

@@ -19,8 +19,40 @@ import numpy as np
 
 from repro.core.metric import cdist, finite_points
 from repro.core.search import min_feasible_radius
-from repro.streaming.common import StreamResult
+from repro.streaming import common
+from repro.streaming.common import StreamResult, first_far
 from repro.streaming.doubling import DoublingCoreset
+
+
+def maximal_coreset(
+    points: np.ndarray, thresh: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pass 2: read ``points`` in order; a point within ``thresh`` of T adds
+    1 to its nearest proxy's weight, any other point joins T with weight 1.
+
+    Returns ``(T, w)``, T's points pairwise > ``thresh`` apart and w their
+    proxy counts (float64, for the search). The scan runs a block of rows
+    at a time (``first_far``) over arrays that double in capacity when T
+    fills them.
+    """
+    n = len(points)
+    T = np.empty((min(n, common.BLOCK_ROWS), points.shape[1]))
+    w = np.zeros(len(T), dtype=np.int64)
+    m, i = 0, 0
+    while i < n:
+        if m:
+            block = points[i : i + common.BLOCK_ROWS]
+            f, nearest = first_far(cdist(block, T[:m]), thresh)
+            w[:m] += np.bincount(nearest, minlength=m)
+            i += f
+            if f == len(block):
+                continue
+        if m == len(T):
+            T, w = np.resize(T, (2 * m, T.shape[1])), np.resize(w, 2 * m)
+        T[m], w[m] = points[i], 1
+        m += 1
+        i += 1
+    return T[:m].copy(), w[:m].astype(np.float64)
 
 
 def two_pass_outliers(
@@ -42,22 +74,9 @@ def two_pass_outliers(
     r_hat = 8.0 * phi
 
     # Pass 2: maximal coreset at separation threshold (eps/48) * r_hat.
-    thresh = (eps / 48.0) * r_hat
-    T: list[np.ndarray] = [points[0]]
-    w: list[int] = [1]
-    for i in range(1, n):
-        p = points[i]
-        dist = cdist(p[None, :], np.asarray(T))[0]
-        j = int(dist.argmin())
-        if dist[j] <= thresh:
-            w[j] += 1
-        else:
-            T.append(p)
-            w.append(1)
+    Ta, wa = maximal_coreset(points, (eps / 48.0) * r_hat)
     t1 = time.perf_counter()
 
-    Ta = np.asarray(T)
-    wa = np.asarray(w, dtype=np.float64)
     search = min_feasible_radius(Ta, wa, k, z, eps_hat)
     centers = search.centers(Ta)
     t2 = time.perf_counter()

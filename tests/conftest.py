@@ -50,3 +50,18 @@ def tiny_points() -> np.ndarray:
     """10 points in 2-D, small enough for brute-force optima."""
     g = np.random.default_rng(3)
     return g.uniform(-5, 5, (10, 2))
+
+
+def grid_stream(seed: int, n: int, dim: int) -> np.ndarray:
+    """A stream of integer points whose spread grows 64x along the stream
+    (so new centers and merges keep coming), with ~20% of the rows repeating
+    an earlier row. Integer coordinates make every squared distance an exact
+    integer, so a ``cdist`` entry is the same whichever block of rows it is
+    computed in."""
+    g = np.random.default_rng(seed)
+    scale = 2.0 ** (6.0 * np.arange(n) / n)
+    pts = np.rint(g.normal(size=(n, dim)) * 3.0 * scale[:, None])
+    for i in np.flatnonzero(g.random(n) < 0.2):
+        if i:
+            pts[i] = pts[g.integers(0, i)]
+    return pts

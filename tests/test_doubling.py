@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.metric import brute_force_kcenter, cdist, min_dist
+from repro.streaming import common
 from repro.streaming.doubling import DoublingCoreset
-from tests.conftest import planted_clusters
+from tests.conftest import grid_stream, planted_clusters
 
 
 def check_invariants(dc: DoublingCoreset, seen: np.ndarray) -> None:
@@ -128,3 +129,154 @@ class TestCoresetQuality:
         a = DoublingCoreset(6, 2).process(pts)
         b = DoublingCoreset(6, 2).process(shuffled)
         assert a.weights.sum() == b.weights.sum() == len(pts)
+
+
+class PerPoint(DoublingCoreset):
+    """The per-point loop the block scan replaced (one ``cdist`` per point),
+    kept as the reference. It also counts the cases the block scan must get
+    right: a point exactly at 8*phi, an absorbed point equidistant from two
+    centers, and a merge
+    followed by more points."""
+
+    def __init__(self, tau, dim):
+        super().__init__(tau, dim)
+        self.at_8phi = self.nearest_ties = self.merges_midstream = 0
+
+    def process(self, points):
+        points = np.asarray(points, dtype=np.float64)
+        for i, p in enumerate(points):
+            self.n_processed += 1
+            if not self._initialized:
+                self._append(p, 1)
+                if self._m == self.tau + 1:
+                    self._seed()
+                continue
+            d = cdist(p[None, :], self._pts[: self._m])[0]
+            j = int(d.argmin())
+            self.at_8phi += d[j] == 8.0 * self.phi
+            if d[j] <= 8.0 * self.phi:
+                self.nearest_ties += (d == d[j]).sum() > 1
+                self._w[j] += 1
+                continue
+            self._append(p, 1)
+            if self._m > self.tau:
+                self.merges_midstream += i + 1 < len(points)
+                self._merge_rule()
+        return self
+
+
+def state(dc: DoublingCoreset):
+    return (dc.points.tolist(), dc.weights.tolist(), dc.phi, dc.peak_size,
+            dc.n_processed, dc.doublings, dc.size)
+
+
+def grid_cases():
+    """(stream, tau) pairs: integer-grid streams in 1-4 dimensions, some
+    shorter than tau + 1."""
+    for seed in range(48):
+        g = np.random.default_rng(1000 + seed)
+        dim = int(g.integers(1, 5))
+        tau = int(g.integers(2, 12))
+        n = int(g.integers(1, 3 * tau)) if seed % 8 == 0 else 200
+        yield grid_stream(seed, n, dim), tau
+
+
+class TestBlockScan:
+    @pytest.mark.parametrize("block", [1, 3, None])
+    def test_equals_per_point_reference(self, monkeypatch, block):
+        """On exact (integer) distances the block scan reaches the same
+        points, weights, phi, peak size, count and doublings as the
+        per-point loop, at any block size."""
+        if block is not None:
+            monkeypatch.setattr(common, "BLOCK_ROWS", block)
+        seen = {"at_8phi": 0, "nearest_ties": 0, "merges_midstream": 0,
+                "short": 0}
+        for pts, tau in grid_cases():
+            ref = PerPoint(tau, pts.shape[1]).process(pts)
+            got = DoublingCoreset(tau, pts.shape[1]).process(pts)
+            assert state(got) == state(ref)
+            # A later merge sums the weights it folds, which can hide a
+            # point credited to the wrong center: compare every prefix of
+            # 20 rows too.
+            dim = pts.shape[1]
+            a, b = PerPoint(tau, dim), DoublingCoreset(tau, dim)
+            for i in range(0, len(pts), 20):
+                a.process(pts[i : i + 20])
+                b.process(pts[i : i + 20])
+                assert state(b) == state(a)
+            for key in ("at_8phi", "nearest_ties", "merges_midstream"):
+                seen[key] += getattr(ref, key)
+            seen["short"] += len(pts) < tau + 1
+        # The streams exercise every case the scan must get right.
+        assert all(v > 0 for v in seen.values()), seen
+
+    def test_hand_built_stream(self):
+        """1-D, tau=2: seeds 0, 1, 3 merge into {0} with phi=1; 8 sits
+        exactly at 8*phi and is absorbed; 9 opens a center; 30 opens one
+        and the merge rule doubles phi twice (to 4) mid-block, folding 9
+        into 0; 5 and 20 join their nearest centers, 0 and 30, and 62 sits
+        exactly at 8*phi = 32 from 30 and is absorbed."""
+        pts = np.array([0, 1, 3, 8, 9, 30, 5, 20, 62], float)[:, None]
+        ref = PerPoint(2, 1).process(pts)
+        got = DoublingCoreset(2, 1).process(pts)
+        assert state(got) == state(ref)
+        assert got.points[:, 0].tolist() == [0.0, 30.0]
+        assert got.weights.tolist() == [6, 3]
+        assert got.phi == 4.0 and got.doublings == 3
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 8),
+           st.lists(st.integers(1, 40), min_size=1, max_size=12))
+    def test_chunking_invariant(self, seed, tau, chunks):
+        """Feeding a stream in arbitrary chunks gives the same state as one
+        call, and invariants (a)-(d) hold after every chunk."""
+        pts = grid_stream(seed, 160, 2)
+        whole = DoublingCoreset(tau, 2).process(pts)
+        dc = DoublingCoreset(tau, 2)
+        i = 0
+        for c in chunks * (len(pts) // sum(chunks) + 1):
+            if i >= len(pts):
+                break
+            dc.process(pts[i : i + c])
+            i += c
+            if dc._initialized:
+                check_invariants(dc, pts[: min(i, len(pts))])
+        assert state(dc) == state(whole)
+
+    def test_update_is_one_row_process(self):
+        pts = grid_stream(7, 120, 3)
+        a = DoublingCoreset(5, 3).process(pts)
+        b = DoublingCoreset(5, 3)
+        for p in pts:
+            b.update(p)
+        assert state(a) == state(b)
+
+    def test_process_dim_mismatch_rejected(self):
+        dc = DoublingCoreset(3, 2)
+        with pytest.raises(ValueError):
+            dc.process(np.zeros((4, 3)))
+        assert dc.n_processed == 0
+
+
+class TestDoublings:
+    def test_counts_merge_rule_doublings(self):
+        """Seeds 0, 1, 2 (gap 1, phi 0.5) merge into {0} at phi = 1: one
+        doubling. 100 opens a center. Each later point 10^j lands beyond
+        8*phi and makes |T| = 3 > tau, so the merge rule doubles phi until
+        4*phi >= 10^(j-1), folding 10^(j-1) into 0: phi goes 1 -> 32 (5
+        doublings), 32 -> 256 (3), 256 -> 4096 (4). phi = 0.5 * 2^doublings
+        throughout."""
+        pts = np.array([0, 1, 2, 100, 1000, 10000, 100000], float)[:, None]
+        dc = DoublingCoreset(2, 1)
+        history = []
+        for p in pts:
+            dc.update(p)
+            history.append(dc.doublings)
+            if dc._initialized:
+                assert dc.phi == 0.5 * 2.0 ** dc.doublings
+        assert history == [0, 0, 1, 1, 6, 9, 13]
+
+    def test_no_doubling_without_merge(self):
+        pts = np.array([[0.0], [10.0], [20.0]])
+        dc = DoublingCoreset(5, 1).process(pts)
+        assert dc.doublings == 0 and dc.phi == 0.0

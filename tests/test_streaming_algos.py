@@ -3,13 +3,17 @@ BASESTREAM, CORESETOUTLIERS, BASEOUTLIERS, and the 2-pass variant."""
 import numpy as np
 import pytest
 
-from repro.core.metric import brute_force_kcenter_outliers, radius
-from repro.streaming.base_outliers import base_stream_outliers
-from repro.streaming.base_stream import base_stream_kcenter
+from repro.core.metric import brute_force_kcenter_outliers, cdist, radius
+from repro.streaming import common
+from repro.streaming.base_outliers import (
+    _OutlierInstance,
+    base_stream_outliers,
+)
+from repro.streaming.base_stream import _Instance, base_stream_kcenter
 from repro.streaming.coreset_outliers import coreset_stream_outliers
 from repro.streaming.coreset_stream import coreset_stream_kcenter
-from repro.streaming.two_pass import two_pass_outliers
-from tests.conftest import planted_clusters
+from repro.streaming.two_pass import maximal_coreset, two_pass_outliers
+from tests.conftest import grid_stream, planted_clusters
 
 
 @pytest.fixture(scope="module")
@@ -201,3 +205,91 @@ class TestTwoPass:
         k, z, eps = 3, 2, 1.0
         res = two_pass_outliers(pts, k, z, eps=eps)
         assert res.space <= (k + z) * 96 * 4  # D=1 bound with sampling slack
+
+
+def covered(p, centers, thresh) -> bool:
+    """The per-point coverage test the block scans replaced."""
+    if not centers:
+        return False
+    d = cdist(p[None, :], np.asarray(centers))[0]
+    return float(d.min()) <= thresh
+
+
+def base_stream_reference(inst: _Instance, points) -> None:
+    for p in points:
+        if covered(p, inst.centers, 2.0 * inst.r):
+            continue
+        inst.centers.append(p)
+        while len(inst.centers) > inst.k:
+            inst.r *= 2.0
+            inst._recluster()
+
+
+def base_outliers_reference(inst: _OutlierInstance, points) -> None:
+    for p in points:
+        if covered(p, inst.centers, 4.0 * inst.r):
+            continue
+        inst.free.append(p)
+        inst._consolidate()
+
+
+def maximal_coreset_reference(points, thresh):
+    T, w = [points[0]], [1]
+    for p in points[1:]:
+        d = cdist(p[None, :], np.asarray(T))[0]
+        j = int(d.argmin())
+        if d[j] <= thresh:
+            w[j] += 1
+        else:
+            T.append(p)
+            w.append(1)
+    return np.asarray(T), np.asarray(w, dtype=np.float64)
+
+
+def grid_cases(n=200):
+    """(stream, scale) pairs: integer-grid streams (exact distances) in
+    1-4 dimensions, with a threshold scale drawn from the stream's own
+    distances so that some points sit exactly at it."""
+    for seed in range(24):
+        g = np.random.default_rng(2000 + seed)
+        pts = grid_stream(seed, n, int(g.integers(1, 5)))
+        D = cdist(pts[:20], pts[:20])
+        yield pts, float(g.choice(D[D > 0]))
+
+
+@pytest.mark.parametrize("block", [1, 3, None])
+class TestBlockScanReference:
+    """On exact distances the block scans of the baselines and of two-pass
+    pass 2 equal the per-point loops they replaced, at any block size."""
+
+    @pytest.fixture(autouse=True)
+    def _block(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(common, "BLOCK_ROWS", block)
+
+    def test_base_stream_instance(self, block):
+        for pts, r in grid_cases():
+            for k in (1, 3, 6):
+                got, ref = _Instance(k=k, r=r / 4), _Instance(k=k, r=r / 4)
+                got.process(pts)
+                base_stream_reference(ref, pts)
+                assert got.r == ref.r
+                assert np.array_equal(got.centers, ref.centers)
+
+    def test_base_outliers_instance(self, block):
+        for pts, r in grid_cases(n=120):
+            for k, z in ((1, 1), (3, 2)):
+                got = _OutlierInstance(k=k, z=z, r=r / 8)
+                ref = _OutlierInstance(k=k, z=z, r=r / 8)
+                got.process(pts)
+                base_outliers_reference(ref, pts)
+                assert got.r == ref.r
+                assert np.array_equal(got.stored_points(), ref.stored_points())
+
+    def test_two_pass_pass2(self, block):
+        for pts, r in grid_cases():
+            for thresh in (0.0, r / 2, r, 4 * r):
+                T, w = maximal_coreset(pts, thresh)
+                T_ref, w_ref = maximal_coreset_reference(pts, thresh)
+                assert np.array_equal(T, T_ref)
+                assert np.array_equal(w, w_ref) and w.dtype == w_ref.dtype
