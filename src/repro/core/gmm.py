@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.metric import as_points, cdist
+from repro.core.metric import as_points
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,26 @@ def gmm(X, tau: int, *, first: int = 0, stop=None) -> GmmResult:
     if not 0 <= first < n:
         raise ValueError(f"first index {first} out of range for n={n}")
 
+    # d(X, X[c]) is cdist(X, X[c:c+1]) evaluated with the same operations
+    # in the same order, bit for bit: the row norms are computed once
+    # instead of per center, and each center costs one GEMV into reused
+    # buffers.
+    sq = (X * X).sum(axis=1)
+    ab = np.empty(n, dtype=np.float64)
+    nd = np.empty(n, dtype=np.float64)
+    closer = np.empty(n, dtype=bool)
+
+    def dist_to(c: int) -> np.ndarray:
+        np.matmul(X, X[c], out=ab)
+        np.multiply(ab, 2.0, out=ab)
+        np.add(sq, sq[c], out=nd)
+        np.subtract(nd, ab, out=nd)
+        np.clip(nd, 0.0, None, out=nd)
+        return np.sqrt(nd, out=nd)
+
     centers = np.empty(tau, dtype=np.int64)
     centers[0] = first
-    dist = cdist(X, X[first : first + 1])[:, 0]
+    dist = dist_to(first).copy()
     assign = np.zeros(n, dtype=np.int64)
     radii = np.empty(tau, dtype=np.float64)
     radii[0] = dist.max(initial=0.0)
@@ -96,9 +113,9 @@ def gmm(X, tau: int, *, first: int = 0, stop=None) -> GmmResult:
                 # the full distinct point set, nothing more to select.
                 break
             centers[j] = nxt
-            nd = cdist(X, X[nxt : nxt + 1])[:, 0]
-            closer = nd < dist
-            dist[closer] = nd[closer]
+            dist_to(nxt)
+            np.less(nd, dist, out=closer)
+            np.copyto(dist, nd, where=closer)
             assign[closer] = j
             radii[j] = dist.max(initial=0.0)
             j += 1

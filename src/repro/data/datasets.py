@@ -19,13 +19,16 @@ pairwise distances between injected points are >= 10*r_MEB.
 
 Inflation follows Section 5.3: sample a base point, add per-coordinate
 Gaussian noise with sigma = 10% of that coordinate's range.
+
+``to_spark``/``from_spark`` convert between a numpy array and the input of
+the MapReduce drivers: an RDD of numpy blocks ``(ids, pids, X)``, one per
+Spark partition.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark import RDD
+from pyspark.sql import SparkSession
 
 from repro.core.metric import as_points, cdist
 
@@ -177,35 +180,39 @@ def inflate(points, factor: int, *, seed: int = 0) -> np.ndarray:
 # numpy <-> Spark conversion
 # ---------------------------------------------------------------------------
 
-POINT_SCHEMA = "id bigint, pid int, features array<double>"
+def to_spark(spark: SparkSession, points, *, pids=None) -> RDD:
+    """Points as an RDD of numpy blocks ``(ids, pids, X)``.
 
-
-def to_spark(spark: SparkSession, points, *, pids=None) -> DataFrame:
-    """Points as a Spark DataFrame ``(id, pid, features)``.
-
-    ``pids`` (optional) are precomputed partition ids (see
-    ``repro.mapreduce.partitioning``); default 0. Conversion goes through
-    pandas + Arrow; partitioning to ℓ Spark partitions happens inside the
-    MR drivers.
+    The input is cut into ``defaultParallelism`` contiguous splits (one
+    Spark partition each, empty if there are fewer points than splits);
+    each split is one block with ``ids`` int64 (the row numbers 0..n-1),
+    ``pids`` int32 and ``X`` float64 of shape ``(rows, d)``. ``pids``
+    (optional) are precomputed partition ids (see
+    ``repro.mapreduce.partitioning``); default 0. Blocks cross into Spark
+    as pickled arrays: no per-point Row and no per-point Python list.
     """
     points = as_points(points)
     n = len(points)
-    pdf = pd.DataFrame(
-        {
-            "id": np.arange(n, dtype=np.int64),
-            "pid": (
-                np.zeros(n, dtype=np.int32)
-                if pids is None
-                else np.asarray(pids, dtype=np.int32)
-            ),
-            "features": list(points),
-        }
+    ids = np.arange(n, dtype=np.int64)
+    pids = (
+        np.zeros(n, dtype=np.int32)
+        if pids is None
+        else np.asarray(pids, dtype=np.int32)
     )
-    return spark.createDataFrame(pdf, schema=POINT_SCHEMA)
+    sc = spark.sparkContext
+    splits = sc.defaultParallelism
+    cuts = np.arange(splits + 1) * n // splits
+    blocks = [
+        (ids[lo:hi], pids[lo:hi], points[lo:hi])
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+    return sc.parallelize(blocks, splits)
 
 
-def from_spark(df: DataFrame) -> np.ndarray:
-    """Collect a points DataFrame back to a ``(n, d)`` numpy array, ordered
-    by ``id`` so round-trips are deterministic."""
-    pdf = df.select("id", "features").orderBy(F.col("id")).toPandas()
-    return np.array(pdf["features"].tolist(), dtype=np.float64)
+def from_spark(blocks: RDD) -> np.ndarray:
+    """Collect an RDD of point blocks back to a ``(n, d)`` numpy array,
+    ordered by ``id`` so round-trips are deterministic."""
+    parts = blocks.collect()
+    ids = np.concatenate([b[0] for b in parts])
+    X = np.concatenate([b[2] for b in parts])
+    return X[np.argsort(ids, kind="stable")]

@@ -63,18 +63,14 @@ def mr_kcenter(
         else CoresetSpec(k_base=k, eps=eps)
     )
     pids = make_pids(len(points), ell, partition_mode, seed=seed)
-    df = to_spark(spark, points, pids=pids).persist()
-    try:
-        df.count()  # materialize before timing the rounds
-        t0 = time.perf_counter()
-        r1: Round1Result = run_round1(df, ell, spec)
-        t1 = time.perf_counter()
-        final = gmm(r1.points, k)
-        centers = final.centers(r1.points)
-        t2 = time.perf_counter()
-        rad = radius_spark(df, centers, z=0)
-    finally:
-        df.unpersist()
+    blocks = to_spark(spark, points, pids=pids)
+    t0 = time.perf_counter()
+    r1: Round1Result = run_round1(blocks, ell, spec)
+    t1 = time.perf_counter()
+    final = gmm(r1.points, k)
+    centers = final.centers(r1.points)
+    t2 = time.perf_counter()
+    rad = radius_spark(blocks, centers, z=0)
     return MRKCenterResult(
         centers=centers,
         radius=rad,

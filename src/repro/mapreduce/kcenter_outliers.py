@@ -106,20 +106,16 @@ def mr_kcenter_outliers(
     pids = make_pids(
         n, ell, partition_mode, seed=seed, outlier_mask=outlier_mask
     )
-    df = to_spark(spark, points, pids=pids).persist()
-    try:
-        df.count()
-        t0 = time.perf_counter()
-        r1: Round1Result = run_round1(df, ell, spec)
-        t1 = time.perf_counter()
-        search: RadiusSearchResult = min_feasible_radius(
-            r1.points, r1.weights, k, z, eps_hat
-        )
-        centers = search.centers(r1.points)
-        t2 = time.perf_counter()
-        rad = radius_spark(df, centers, z=z)
-    finally:
-        df.unpersist()
+    blocks = to_spark(spark, points, pids=pids)
+    t0 = time.perf_counter()
+    r1: Round1Result = run_round1(blocks, ell, spec)
+    t1 = time.perf_counter()
+    search: RadiusSearchResult = min_feasible_radius(
+        r1.points, r1.weights, k, z, eps_hat
+    )
+    centers = search.centers(r1.points)
+    t2 = time.perf_counter()
+    rad = radius_spark(blocks, centers, z=z)
     return MROutliersResult(
         centers=centers,
         radius=rad,

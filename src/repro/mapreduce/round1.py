@@ -1,30 +1,38 @@
-"""Round 1 of both MapReduce algorithms: per-partition weighted coresets.
+"""Round 1 of both MapReduce algorithms: per-subset weighted coresets.
 
-The input DataFrame carries an explicit partition id ``pid`` in [0, ell)
-(see ``partitioning``). Round 1 runs ``partitionBy(ell)`` on
-(pid, point) pairs followed by ``mapPartitions``: one Spark partition per
-subset S_i, exactly mirroring "one reducer per subset" of the 2-round
-MapReduce schema.
+The input is an RDD of numpy blocks ``(ids, pids, X)`` (see
+``repro.data.datasets.to_spark``) in which every point carries an explicit
+subset id ``pid`` in [0, ell) (see ``partitioning``). The map side splits
+each block by pid into sub-blocks ``(pid, (ids, X))``. ``partitionBy``
+sends pid i to Spark partition i mod P, with P = min(ell,
+defaultParallelism), and each reduce task runs the reducers of its pids
+one after the other: one GMM per subset S_i, as in "one reducer per
+subset" of the 2-round MapReduce schema. There is one task per slot rather
+than one per subset because every Spark Python task pays a fixed start-up
+cost before any user code runs (DESIGN.md §2); the subsets and their
+coresets do not depend on P.
 
 Within a subset, points are sorted by ``id`` before running GMM, so the
-coresets depend only on the pid assignment, not on the input frame's
-partitioning or the shuffle's arrival order (GMM's output depends on input
-order through the arbitrary first center).
+coresets depend only on the pid assignment, not on how the input is cut
+into blocks or on the order in which the shuffle delivers sub-blocks
+(GMM's output depends on input order through the arbitrary first center).
 
 The union of the weighted coresets is returned as driver-side numpy
-arrays — which is precisely what round 2 consumes ("the union of the
-coresets is gathered into a single reducer").
+arrays, ordered by pid and then lexicographically by coordinates, which is
+precisely what round 2 consumes ("the union of the coresets is gathered
+into a single reducer").
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator
 
 import numpy as np
-from pyspark.sql import DataFrame
+from pyspark import RDD
 
 from repro.core.gmm import gmm_coreset_adaptive, gmm_coreset_fixed
+
 
 @dataclass(frozen=True)
 class CoresetSpec:
@@ -69,49 +77,56 @@ class Round1Result:
         return len(self.points)
 
 
-def _coreset_rows(pid: int, ids, feats, spec: CoresetSpec):
-    """Sort one subset by id, build its coreset, emit output rows."""
-    order = np.argsort(np.asarray(ids, dtype=np.int64), kind="stable")
-    X = np.asarray(feats, dtype=np.float64)[order]
-    centers, weights, _ = _build_coreset(X, spec)
-    n = len(X)
-    for c, w in zip(centers, weights):
-        yield (int(pid), [float(v) for v in c], int(w), int(n))
+def _split_by_pid(block):
+    """Map side: one sub-block ``(pid, (ids, X))`` per pid in ``block``."""
+    ids, pids, X = block
+    for pid in np.unique(pids):
+        sel = pids == pid
+        yield int(pid), (ids[sel], X[sel])
 
 
-def _partition_coresets(
-    it: Iterator[tuple[int, tuple[int, list]]], spec: CoresetSpec
-):
-    """mapPartitions body: group by pid (one pid per partition under
-    identity partitioning, but grouping keeps it correct regardless)."""
-    by_pid: dict[int, tuple[list, list]] = {}
-    for pid, (i, f) in it:
-        ids, feats = by_pid.setdefault(pid, ([], []))
-        ids.append(i)
-        feats.append(f)
-    for pid, (ids, feats) in by_pid.items():
-        yield from _coreset_rows(pid, ids, feats, spec)
+def _subset_coresets(it, spec: CoresetSpec):
+    """Reduce side: gather the sub-blocks of each pid routed to this task,
+    sort the subset by id and build its coreset. Yields
+    ``(pid, coreset points, weights, |S_pid|)``."""
+    subsets: dict[int, list] = defaultdict(list)
+    for pid, sub in it:
+        subsets[pid].append(sub)
+    for pid, subs in subsets.items():
+        ids = np.concatenate([i for i, _ in subs])
+        order = np.argsort(ids, kind="stable")
+        X = np.concatenate([x for _, x in subs])[order]
+        centers, weights, _ = _build_coreset(X, spec)
+        yield pid, centers, weights, len(X)
 
 
-def run_round1(df: DataFrame, ell: int, spec: CoresetSpec) -> Round1Result:
-    """Execute round 1 over ``df`` (schema id/pid/features) and collect the
-    union of the weighted coresets at the driver."""
-    pairs = df.select("pid", "id", "features").rdd.map(
-        lambda row: (row.pid, (row.id, row.features))
-    )
-    rows = (
-        pairs.partitionBy(ell, lambda pid: int(pid))
-        .mapPartitions(partial(_partition_coresets, spec=spec))
+def run_round1(blocks: RDD, ell: int, spec: CoresetSpec) -> Round1Result:
+    """Execute round 1 over ``blocks`` (an RDD of ``(ids, pids, X)``
+    blocks) and collect the union of the weighted coresets at the driver.
+    ``part_sizes`` has an entry for every pid in [0, ell), 0 for a subset
+    that received no point."""
+    tasks = min(ell, blocks.context.defaultParallelism)
+    out = (
+        blocks.flatMap(_split_by_pid)
+        .partitionBy(tasks, lambda pid: pid)
+        .mapPartitions(partial(_subset_coresets, spec=spec))
         .collect()
     )
-    if not rows:
+    if not out:
         raise ValueError("round 1 produced an empty coreset union")
     # Deterministic driver-side order regardless of shuffle arrival order.
-    rows.sort(key=lambda r: (r[0], r[1]))
-    pids = np.array([r[0] for r in rows], dtype=np.int64)
-    points = np.array([r[1] for r in rows], dtype=np.float64)
-    weights = np.array([r[2] for r in rows], dtype=np.int64)
-    part_sizes = {int(r[0]): int(r[3]) for r in rows}
+    out.sort(key=lambda r: r[0])
+    part_sizes = dict.fromkeys(range(ell), 0)
+    points, weights, pids = [], [], []
+    for pid, C, w, size in out:
+        order = np.lexsort(C.T[::-1])
+        points.append(C[order])
+        weights.append(w[order])
+        pids.append(np.full(len(C), pid, dtype=np.int64))
+        part_sizes[pid] = size
     return Round1Result(
-        points=points, weights=weights, pids=pids, part_sizes=part_sizes
+        points=np.concatenate(points),
+        weights=np.concatenate(weights),
+        pids=np.concatenate(pids),
+        part_sizes=part_sizes,
     )

@@ -1,10 +1,12 @@
 """Tests for repro.data.datasets — generators, outlier injection (Section
 5.2 procedure), inflation (Section 5.3), Spark conversion."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.metric import cdist
 from repro.data import datasets as ds
+from repro.oracle import assert_equivalent
 
 
 class TestGenerators:
@@ -124,12 +126,45 @@ class TestSparkConversion:
         np.testing.assert_allclose(X, Y)
 
     def test_schema(self, spark):
-        df = ds.to_spark(spark, ds.power_like(50))
-        assert [f.name for f in df.schema.fields] == ["id", "pid", "features"]
+        """One block per split: ids int64, pids int32, X float64 (rows, d),
+        each row its input row, and the ids partition 0..n-1."""
+        X = ds.power_like(50)
+        blocks = ds.to_spark(spark, X).collect()
+        assert len(blocks) == spark.sparkContext.defaultParallelism
+        for ids, pids, Xb in blocks:
+            assert (ids.dtype, pids.dtype, Xb.dtype) == (
+                np.int64, np.int32, np.float64
+            )
+            assert ids.shape == pids.shape == (len(Xb),)
+            assert Xb.shape == (len(ids), 7)
+            np.testing.assert_array_equal(Xb, X[ids])
+        ids = np.concatenate([b[0] for b in blocks])
+        np.testing.assert_array_equal(np.sort(ids), np.arange(50))
 
     def test_pids_carried(self, spark):
+        """Each id keeps its pid, and the pid counts of the blocks match
+        the input's, checked on the DuckDB oracle."""
         X = ds.higgs_like(60)
         pids = np.arange(60) % 4
-        df = ds.to_spark(spark, X, pids=pids)
-        got = {r.id: r.pid for r in df.select("id", "pid").collect()}
-        assert all(got[i] == i % 4 for i in range(60))
+        blocks = ds.to_spark(spark, X, pids=pids).collect()
+        got = {
+            int(i): int(p) for b in blocks for i, p in zip(b[0], b[1])
+        }
+        assert got == {i: i % 4 for i in range(60)}
+        carried = pd.DataFrame(
+            {"id": list(got), "pid": list(got.values())}
+        )
+        spark.createDataFrame(carried).createOrReplaceTempView("carried")
+        sql = "SELECT pid AS pid, count(*) AS n FROM {t} GROUP BY pid"
+        assert_equivalent(
+            spark.sql(sql.format(t="carried")), sql.format(t="pts"),
+            pts=pd.DataFrame({"id": np.arange(60), "pid": pids}),
+        )
+
+    def test_fewer_points_than_splits(self, spark):
+        """n below the number of splits leaves some blocks empty; the
+        round trip still returns every point."""
+        X = ds.higgs_like(1, seed=9)
+        blocks = ds.to_spark(spark, X).collect()
+        assert sum(len(b[2]) == 0 for b in blocks) == len(blocks) - 1
+        np.testing.assert_array_equal(ds.from_spark(ds.to_spark(spark, X)), X)

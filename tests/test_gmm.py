@@ -212,3 +212,74 @@ class TestDoublingDimensionBound:
         _, _, res = gmm_coreset_adaptive(pts, k, eps)
         # D=1 bound with slack for the discrete-sample deviation.
         assert res.tau <= k * int(4 / eps) * 4
+
+
+def _per_center_gmm(X, tau, first=0, stop=None):
+    """Reference: the farthest-first loop with one ``cdist(X, X[c:c+1])``
+    per selected center, as ``gmm`` computed it before caching the norms."""
+    n = len(X)
+    tau = min(tau, n)
+    centers = [first]
+    dist = cdist(X, X[first:first + 1])[:, 0]
+    assign = np.zeros(n, dtype=np.int64)
+    radii = [dist.max(initial=0.0)]
+    if stop is None or not stop(1, np.array(radii)):
+        while len(centers) < tau:
+            nxt = int(dist.argmax())
+            if dist[nxt] == 0.0:
+                break
+            nd = cdist(X, X[nxt:nxt + 1])[:, 0]
+            closer = nd < dist
+            dist[closer] = nd[closer]
+            assign[closer] = len(centers)
+            centers.append(nxt)
+            radii.append(dist.max(initial=0.0))
+            if stop is not None and stop(len(centers), np.array(radii)):
+                break
+    return np.array(centers, dtype=np.int64), assign, dist, np.array(radii)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("grid", [False, True], ids=["float", "grid"])
+    @pytest.mark.parametrize("adaptive", [False, True],
+                             ids=["fixed", "adaptive"])
+    def test_bitwise_equal_to_per_center_cdist(self, grid, adaptive):
+        """``gmm`` with cached norms and one GEMV per center gives the
+        per-center ``cdist`` loop's ``centers_idx``, ``assign``, ``dist``
+        and ``radii`` bit for bit: on seeded float and integer-grid inputs
+        with duplicated rows, any first center, tau up to past the number
+        of distinct points, and the adaptive stopping rule."""
+        g = np.random.default_rng(40 + 2 * grid + adaptive)
+        stopped_early = exhausted = 0
+        for _ in range(60):
+            n = int(g.integers(1, 300))
+            d = int(g.choice([1, 2, 7, 50]))
+            X = g.normal(size=(n, d)) * 10.0 ** g.uniform(-3, 3)
+            if grid:
+                X = np.rint(X * 3.0)
+            if n > 2:  # duplicated rows
+                dup = g.integers(0, n, n // 3)
+                X[dup] = X[g.integers(0, n, n // 3)]
+            if g.random() < 0.2:  # few distinct points: tau runs past them
+                X = X[g.integers(0, min(n, 5), n)]
+            tau = int(g.integers(1, n + 4))
+            first = int(g.integers(0, n))
+            stop = None
+            if adaptive:
+                k_base, eps = int(g.integers(1, 8)), float(g.uniform(0.1, 2))
+
+                def stop(j, radii, k_base=k_base, eps=eps):
+                    return j >= k_base and (
+                        radii[j - 1] <= eps / 2 * radii[k_base - 1]
+                    )
+
+            got = gmm(X, tau, first=first, stop=stop)
+            ref = _per_center_gmm(X, tau, first=first, stop=stop)
+            for name, want in zip(("centers_idx", "assign", "dist", "radii"),
+                                  ref):
+                have = getattr(got, name)
+                assert have.dtype == want.dtype and have.shape == want.shape
+                assert have.tobytes() == want.tobytes(), name
+            stopped_early += got.tau < min(tau, n)
+            exhausted += got.tau == len(np.unique(X, axis=0)) < tau
+        assert stopped_early and exhausted

@@ -2,14 +2,13 @@
 (Section 3.1) on the session SparkSession."""
 import numpy as np
 import pytest
-from pyspark.sql import functions as F
 
-from repro.core.gmm import gmm
+from repro.core.gmm import gmm, gmm_coreset_adaptive, gmm_coreset_fixed
 from repro.core.metric import brute_force_kcenter, radius
 from repro.data.datasets import to_spark
 from repro.mapreduce.kcenter import mr_kcenter
 from repro.mapreduce.partitioning import make_pids
-from repro.mapreduce.round1 import CoresetSpec, run_round1
+from repro.mapreduce.round1 import CoresetSpec, Round1Result, run_round1
 from tests.conftest import planted_clusters
 
 
@@ -82,6 +81,35 @@ class TestEndToEnd:
         assert res.t_coreset > 0 and res.t_final >= 0
 
 
+def _round1_reference(X, pids, ell, spec):
+    """Round 1 without Spark: per pid, the subset in id order, its coreset,
+    the coreset rows sorted lexicographically; concatenated by pid."""
+    points, weights, out_pids, sizes = [], [], [], {}
+    for pid in range(ell):
+        S = X[np.flatnonzero(pids == pid)]
+        sizes[pid] = len(S)
+        if not len(S):
+            continue
+        if spec.tau is not None:
+            C, w, _ = gmm_coreset_fixed(S, spec.tau)
+        else:
+            C, w, _ = gmm_coreset_adaptive(S, spec.k_base, spec.eps)
+        order = np.lexsort(C.T[::-1])
+        points.append(C[order])
+        weights.append(w[order])
+        out_pids.append(np.full(len(C), pid, dtype=np.int64))
+    return (np.concatenate(points), np.concatenate(weights),
+            np.concatenate(out_pids), sizes)
+
+
+def _assert_same_round1(a, b):
+    for name in ("points", "weights", "pids"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+    assert a.part_sizes == b.part_sizes
+
+
 class TestRound1:
     @pytest.mark.parametrize(
         "spec", [CoresetSpec(tau=8), CoresetSpec(k_base=4, eps=0.5)],
@@ -91,16 +119,59 @@ class TestRound1:
         self, spark, blobs4, spec
     ):
         """Each reducer sorts its subset by id, so round 1 depends only on
-        the pid assignment: not on the frame's row order, its Spark
-        partitioning or the order in which the shuffle delivers rows."""
+        the pid assignment: not on the input's row order, how it is cut
+        into blocks or the order in which the shuffle delivers them."""
         pids = make_pids(len(blobs4), 4, "random", seed=3)
-        df = to_spark(spark, blobs4, pids=pids)
-        moved = df.orderBy(F.rand(seed=5)).repartition(7)
-        a = run_round1(df, 4, spec)
+        perm = np.random.default_rng(5).permutation(len(blobs4))
+        moved = spark.sparkContext.parallelize(
+            [
+                (rows.astype(np.int64), pids[rows].astype(np.int32),
+                 blobs4[rows])
+                for rows in np.array_split(perm, 7)
+            ],
+            7,
+        )
+        a = run_round1(to_spark(spark, blobs4, pids=pids), 4, spec)
         b = run_round1(moved, 4, spec)
-        for name in ("points", "weights", "pids"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-        assert a.part_sizes == b.part_sizes
+        _assert_same_round1(a, b)
+
+    @pytest.mark.parametrize("ell", [1, 3, 4, 8, 16])
+    def test_matches_spark_free_reference(self, spark, ell):
+        """Bit for bit the Spark-free reference, for ell below, equal to,
+        above and not a multiple of the number of slots, with fixed and
+        adaptive coresets, and with fewer points than splits (empty
+        blocks, and most subsets empty)."""
+        g = np.random.default_rng(70 + ell)
+        splits = spark.sparkContext.defaultParallelism
+        cases = [
+            (planted_clusters(60, [(0, 0), (9, 2), (3, 8)], 1.0, seed=ell),
+             CoresetSpec(tau=6)),
+            (np.rint(g.normal(size=(150, 3)) * 4),
+             CoresetSpec(k_base=3, eps=0.7)),
+            (g.normal(size=(max(1, splits - 1), 2)), CoresetSpec(tau=2)),
+        ]
+        for X, spec in cases:
+            pids = g.integers(0, ell, len(X)).astype(np.int32)
+            got = run_round1(to_spark(spark, X, pids=pids), ell, spec)
+            points, weights, ref_pids, sizes = _round1_reference(
+                X, pids, ell, spec
+            )
+            _assert_same_round1(got, Round1Result(
+                points=points, weights=weights, pids=ref_pids,
+                part_sizes=sizes,
+            ))
+
+    def test_empty_subsets_reported(self, spark):
+        """A subset that receives no point (random partition at tiny n)
+        appears in part_sizes with 0, and the sizes add up to n."""
+        X = planted_clusters(3, [(0, 0), (20, 0)], 0.5, seed=8)
+        pids = make_pids(len(X), 6, "random", seed=1)
+        counts = np.bincount(pids, minlength=6)
+        assert (counts == 0).any()
+        res = mr_kcenter(spark, X, k=2, ell=6, tau=2,
+                         partition_mode="random", seed=1)
+        assert res.part_sizes == {p: int(c) for p, c in enumerate(counts)}
+        assert sum(res.part_sizes.values()) == len(X)
 
 
 class TestValidation:

@@ -1,7 +1,8 @@
-"""Smoke test of the benchmark on its streaming workload at tiny n (no
-Spark): the run completes, every call is checked correct, and each metric
-that BENCHMARK.json declares is reported with its unit. The traced run
-also shows that the span hooks on the doubling coreset still fire."""
+"""Smoke test of the benchmark on its gated workloads at tiny n: the run
+completes, every call is checked correct, and each metric that
+BENCHMARK.json declares is reported with its unit. The traced runs also
+show that the span hooks still fire: on the doubling coreset (no Spark),
+and on the MapReduce driver's round 1, distributed radius and search."""
 import json
 import subprocess
 import sys
@@ -12,10 +13,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_stream_outliers_tiny(trace):
+def _run_tiny(workload: str, trace: int) -> dict:
     p = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "stream-outliers",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", str(trace), "--tiny"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
@@ -26,5 +26,21 @@ def test_stream_outliers_tiny(trace):
     declared = spec["per_layer"] if trace else spec["end_to_end"]
     for m in declared:
         assert res["metrics"][m["name"]]["unit"] == m["unit"], m["name"]
+    return {k: v["value"] for k, v in res["metrics"].items()}
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_stream_outliers_tiny(trace):
+    metrics = _run_tiny("stream-outliers", trace)
     if trace:
-        assert res["metrics"]["streaming.doubling.process_s"]["value"] > 0
+        assert metrics["streaming.doubling.process_s"] > 0
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_mr_big_coreset_tiny(trace):
+    metrics = _run_tiny("mr-big-coreset", trace)
+    if trace:
+        for name in ("mapreduce.round1.run_s",
+                     "mapreduce.evaluate.radius_spark_s",
+                     "core.search.evaluations"):
+            assert metrics[name] > 0, name
