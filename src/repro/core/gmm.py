@@ -75,6 +75,8 @@ def gmm(X, tau: int, *, first: int = 0, stop=None) -> GmmResult:
     n = len(X)
     if n == 0:
         raise ValueError("empty point set")
+    if tau < 1:
+        raise ValueError(f"tau must be >= 1, got {tau}")
     tau = min(tau, n)
     if not 0 <= first < n:
         raise ValueError(f"first index {first} out of range for n={n}")

@@ -2,9 +2,9 @@
 
 Tests must use the session-scoped ``spark`` fixture from ``conftest.py``;
 the standalone jobs (run via ``python jobs/<name>.py`` or ``spark-submit``)
-build an equivalent local session here: local[*] master, Arrow enabled,
-broadcast joins disabled — matching the fixture so job results and test
-results come from the same engine configuration.
+build an equivalent local session here: local[*] master, broadcast joins
+disabled — matching the fixture so job results and test results come from
+the same engine configuration.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ def get_session(app: str) -> SparkSession:
             "spark.sql.shuffle.partitions",
             os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
         )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )

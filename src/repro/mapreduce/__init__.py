@@ -8,5 +8,8 @@
                       this is the paper's improved sequential algorithm.
 ``evaluate``          distributed evaluation of the (z-outlier) clustering
                       radius of a solution over the full input.
+``worker``            ``lean_worker``, called first in every Spark task
+                      function: stops each task from re-reading the
+                      workers' zip archives.
 """
 from repro.mapreduce import evaluate, kcenter, kcenter_outliers, partitioning  # noqa: F401

@@ -9,6 +9,8 @@ the centers travel with the task, each block computes its points'
 closest-center distances with ``min_dist`` and emits only its top (z+1)
 (``np.partition``), and the driver takes the (z+1)-th largest of the
 merged candidates. Aggregate traffic is O(blocks * (z+1)), never O(n).
+Like round 1's tasks, ``_block_top`` starts with ``lean_worker()`` so that
+a reused Python worker does not re-read its zip archives on every task.
 """
 from __future__ import annotations
 
@@ -16,10 +18,12 @@ import numpy as np
 from pyspark import RDD
 
 from repro.core.metric import as_points, min_dist
+from repro.mapreduce.worker import lean_worker
 
 
 def _block_top(block, centers: np.ndarray, m: int) -> np.ndarray:
     """The ``m`` largest closest-center distances of one block, unordered."""
+    lean_worker()
     d, _ = min_dist(block[2], centers)
     if len(d) > m:
         d = np.partition(d, len(d) - m)[len(d) - m:]

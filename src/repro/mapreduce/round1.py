@@ -8,9 +8,11 @@ sends pid i to Spark partition i mod P, with P = min(ell,
 defaultParallelism), and each reduce task runs the reducers of its pids
 one after the other: one GMM per subset S_i, as in "one reducer per
 subset" of the 2-round MapReduce schema. There is one task per slot rather
-than one per subset because every Spark Python task pays a fixed start-up
-cost before any user code runs (DESIGN.md §2); the subsets and their
-coresets do not depend on P.
+than one per subset because each extra wave of Spark Python tasks costs
+~0.06 s even for trivial work (DESIGN.md §2); the subsets and their
+coresets do not depend on P. Both task functions start with
+``lean_worker()``: without it, every task re-reads the zip archives on the
+worker's Python path (pyspark, py4j, the spark-core jar) for 0.16–0.25 s.
 
 Within a subset, points are sorted by ``id`` before running GMM, so the
 coresets depend only on the pid assignment, not on how the input is cut
@@ -32,6 +34,7 @@ import numpy as np
 from pyspark import RDD
 
 from repro.core.gmm import gmm_coreset_adaptive, gmm_coreset_fixed
+from repro.mapreduce.worker import lean_worker
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,12 @@ class CoresetSpec:
             raise ValueError(
                 "specify exactly one of tau=... or (k_base=..., eps=...)"
             )
+        if fixed and self.tau < 1:
+            raise ValueError(f"tau must be >= 1, got {self.tau}")
+        if adaptive and self.k_base < 1:
+            raise ValueError(f"k_base must be >= 1, got {self.k_base}")
+        if adaptive and not self.eps > 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
 
 
 def _build_coreset(X: np.ndarray, spec: CoresetSpec):
@@ -79,6 +88,7 @@ class Round1Result:
 
 def _split_by_pid(block):
     """Map side: one sub-block ``(pid, (ids, X))`` per pid in ``block``."""
+    lean_worker()
     ids, pids, X = block
     for pid in np.unique(pids):
         sel = pids == pid
@@ -89,6 +99,7 @@ def _subset_coresets(it, spec: CoresetSpec):
     """Reduce side: gather the sub-blocks of each pid routed to this task,
     sort the subset by id and build its coreset. Yields
     ``(pid, coreset points, weights, |S_pid|)``."""
+    lean_worker()
     subsets: dict[int, list] = defaultdict(list)
     for pid, sub in it:
         subsets[pid].append(sub)

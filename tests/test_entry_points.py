@@ -1,15 +1,21 @@
 """Every public algorithm entry point rejects NaN or infinite coordinates
 up front. Unchecked, such input makes the streaming guess and merge rules
-double forever and the searches return degenerate answers."""
+double forever and the searches return degenerate answers.
+
+The MapReduce drivers also reject a degenerate coreset spec (tau < 1,
+eps <= 0) at the driver, with a ``ValueError``, instead of failing inside
+a Spark task."""
 import numpy as np
 import pytest
 
+from repro.core.gmm import gmm
 from repro.core.search import charikar
 from repro.mapreduce.kcenter import mr_kcenter
 from repro.mapreduce.kcenter_outliers import (
     mr_kcenter_outliers,
     sequential_coreset_outliers,
 )
+from repro.mapreduce.round1 import CoresetSpec
 from repro.streaming.base_outliers import base_stream_outliers
 from repro.streaming.base_stream import base_stream_kcenter
 from repro.streaming.coreset_outliers import coreset_stream_outliers
@@ -43,3 +49,46 @@ def test_rejects_non_finite_input(request, name, bad):
     spark = request.getfixturevalue("spark") if name.startswith("mr_") else None
     with pytest.raises(ValueError, match="NaN or infinite"):
         ENTRY_POINTS[name](spark, X)
+
+
+MR_DRIVERS = {
+    "mr_kcenter": lambda s, X, **spec: mr_kcenter(s, X, 3, 2, **spec),
+    "mr_kcenter_outliers": lambda s, X, **spec: mr_kcenter_outliers(
+        s, X, 3, 5, 2, **spec
+    ),
+}
+DEGENERATE_SPECS = [{"tau": 0}, {"tau": -3}, {"eps": 0.0}, {"eps": -0.5}]
+
+
+def _spec_id(spec: dict) -> str:
+    return ",".join(f"{k}={v}" for k, v in spec.items())
+
+
+@pytest.mark.parametrize("spec", DEGENERATE_SPECS, ids=_spec_id)
+@pytest.mark.parametrize("name", sorted(MR_DRIVERS))
+def test_mr_rejects_degenerate_coreset_spec(spark, name, spec):
+    X = np.random.default_rng(0).uniform(-1, 1, (200, 2))
+    with pytest.raises(ValueError, match="must be"):
+        MR_DRIVERS[name](spark, X, **spec)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tau": 0},
+        {"tau": -3},
+        {"k_base": 0, "eps": 0.5},
+        {"k_base": 3, "eps": 0.0},
+        {"k_base": 3, "eps": -1.0},
+    ],
+    ids=_spec_id,
+)
+def test_coreset_spec_rejects_degenerate(kwargs):
+    with pytest.raises(ValueError, match="must be"):
+        CoresetSpec(**kwargs)
+
+
+@pytest.mark.parametrize("tau", [0, -3])
+def test_gmm_rejects_tau_below_one(tau):
+    with pytest.raises(ValueError, match="tau must be >= 1"):
+        gmm(np.zeros((5, 2)), tau)
