@@ -7,5 +7,5 @@ Subpackages:
 ``data``        synthetic dataset substitutes + paper's data procedures
 ``mapreduce``   the 2-round Spark algorithms (Sections 3.1/3.2)
 ``streaming``   the 1-/2-pass algorithms and streaming baselines (Section 4)
-``experiments`` harnesses reproducing the rows of Figures 2-8 (T1-T7)
+``experiments`` the driver reproducing the rows of Figures 2-8 (T1-T7)
 """

@@ -1,7 +1,7 @@
 """The paper's 2-round MapReduce algorithms on Spark.
 
 ``partitioning``      round-1 partition-id assignment (contiguous /
-                      round-robin / random / adversarial, Section 5.2).
+                      random / adversarial, Section 5.2).
 ``kcenter``           Section 3.1 — (2+eps) k-center.
 ``kcenter_outliers``  Section 3.2 / 3.2.1 — (3+eps) k-center with z
                       outliers, deterministic and randomized; with ell=1

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-MODES = ("contiguous", "round_robin", "random", "adversarial")
+MODES = ("contiguous", "random", "adversarial")
 
 
 def make_pids(
@@ -26,7 +26,6 @@ def make_pids(
 
     ``contiguous``   equal-size blocks in input order (the paper's
                      "partitioned into ell subsets of equal size").
-    ``round_robin``  i -> i mod ell (also equal-size, interleaved).
     ``random``       uniform independent choice (randomized variant).
     ``adversarial``  all points flagged in ``outlier_mask`` go to partition
                      0; the rest are spread in equal contiguous blocks.
@@ -37,8 +36,6 @@ def make_pids(
         raise ValueError(f"need at least ell={ell} points, got n={n}")
     if mode == "contiguous":
         return (np.arange(n, dtype=np.int64) * ell // n).astype(np.int32)
-    if mode == "round_robin":
-        return (np.arange(n, dtype=np.int64) % ell).astype(np.int32)
     if mode == "random":
         return np.random.default_rng(seed).integers(
             0, ell, n, dtype=np.int32

@@ -17,16 +17,6 @@ class TestContiguous:
         assert (np.diff(pids) >= 0).all()
 
 
-class TestRoundRobin:
-    def test_equal_sizes(self):
-        sizes = partition_sizes(make_pids(103, 4, "round_robin"), 4)
-        assert sizes.sum() == 103 and sizes.max() - sizes.min() <= 1
-
-    def test_interleaved(self):
-        pids = make_pids(8, 4, "round_robin")
-        np.testing.assert_array_equal(pids, [0, 1, 2, 3, 0, 1, 2, 3])
-
-
 class TestRandom:
     def test_all_partitions_in_range(self):
         pids = make_pids(1000, 8, "random", seed=0)
