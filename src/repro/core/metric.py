@@ -55,8 +55,17 @@ def cdist(a, b) -> np.ndarray:
     place, so at most two ``len(a) x len(b)`` buffers are live at once; the
     operations and their order are those of the plain expression, so the
     result is bit-for-bit the same.
+
+    ``cdist(T, T)`` is exactly symmetric, bit for bit: ``T`` is converted
+    once, the norm sum ``na[i] + na[j]`` is symmetric, and numpy evaluates
+    ``a @ a.T`` on one buffer with ``syrk`` and mirrors the triangle.
+    ``outliers_cluster`` relies on this. Two separate conversions of the
+    same float32 or non-contiguous input would go through a general GEMM,
+    which is not symmetric.
     """
-    a, b = as_points(a), as_points(b)
+    same = b is a
+    a = as_points(a)
+    b = a if same else as_points(b)
     out = np.add.outer((a * a).sum(axis=1), (b * b).sum(axis=1))
     ab = a @ b.T
     ab *= 2.0

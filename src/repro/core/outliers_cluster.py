@@ -14,19 +14,29 @@ reuses this module.
 Since the same T is probed at many radii during the minimum-radius search,
 the O(|T|^2) distance matrix can be computed once and passed in.
 
-Cost per evaluation: one pass over the |T|^2 matrix plus the columns of the
-points each pick covers, not one pass per pick. The ball-membership matrix
-is built once; the ball weights ("gains") of all candidates are computed
-once, and after each pick the weight of the newly covered points is
-subtracted from the gains of the balls that contain them. Over the k picks
-every column is subtracted at most once, so the updates add up to at most
-one more pass. Both matrix-vector products run in blocks of
-``_BLOCK_ENTRIES`` so no |T|^2-sized float temporary is allocated.
+Cost per evaluation: one compare pass over the |T|^2 distance matrix to
+build the boolean ball-membership matrix, one gains pass over it, and the
+rows of the points each pick covers. The ball weights ("gains") of all
+candidates are computed once; after each pick the weight of the newly
+covered points is subtracted from the gains of the balls that contain
+them. Ball membership is symmetric (``dist_matrix`` must be ``cdist(T, T)``,
+which is exactly symmetric, see ``repro.core.metric.cdist``), so the balls
+containing a newly covered point y are the entries of row y, and the
+update reads contiguous rows, ``gains -= w[rows] @ in_ball[rows]``, rather
+than strided columns. Over the k picks every row is subtracted at most
+once, so the updates add up to at most one more pass. Both products run in
+blocks of ``_BLOCK_ENTRIES`` so no |T|^2-sized float temporary is
+allocated.
 
 This returns exactly what recomputing the gains from scratch at every pick
 returns, because every caller passes integer weights (proxy counts, or
-ones): float64 sums of integers below 2^53 are exact in any order, so the
-gains, and hence ``argmax``'s tie-breaking, are bit-for-bit the same.
+ones). Every gain, partial sum and difference is then an integer between 0
+and the total weight, and is exact in any summation order as long as the
+total is representable: up to 2^24 in float32, 2^53 in float64. The gains
+and the cast ball blocks are therefore float32 when the total weight is at
+most 2^24 (half the memory traffic of float64) and float64 above; either
+way they are bit-for-bit the exact integers, and so is ``argmax``'s
+tie-breaking.
 """
 from __future__ import annotations
 
@@ -36,9 +46,19 @@ import numpy as np
 
 from repro.core.metric import as_points, cdist
 
-# Entries of the boolean ball matrix cast to float64 per matrix-vector block
-# (2 MB): small enough to stay in cache, large enough to amortize the call.
+# Entries of the boolean ball matrix cast to the gains' dtype per
+# matrix-vector block (1 MB in float32, 2 MB in float64): small enough to
+# stay in cache, large enough to amortize the call.
 _BLOCK_ENTRIES = 1 << 18
+
+# Largest total weight whose integer partial sums float32 holds exactly.
+_FLOAT32_EXACT = 1 << 24
+
+
+def _gains_dtype(w: np.ndarray) -> type:
+    """float32 when every integer sum of ``w`` is exact in it, else
+    float64 (see the module docstring)."""
+    return np.float32 if w.sum() <= _FLOAT32_EXACT else np.float64
 
 
 @dataclass(frozen=True)
@@ -71,8 +91,9 @@ def outliers_cluster(
 
     ``weights`` are the proxy weights w_t >= 1 attached to each point of T
     (integers, for the exactness argument in the module docstring).
-    ``dist_matrix`` (optional) is the precomputed |T| x |T| distance matrix;
-    when absent it is computed here.
+    ``dist_matrix`` (optional) is the precomputed |T| x |T| distance matrix
+    and must be ``cdist(T, T)``: the gain update relies on its exact
+    symmetry. When absent it is computed here.
     """
     T = as_points(T)
     w = np.asarray(weights, dtype=np.float64)
@@ -95,10 +116,11 @@ def outliers_cluster(
     in_ball = D <= ball_r
     # Aggregate uncovered weight inside each candidate's small ball.
     # Candidates are *all* points of T ("x needs not be uncovered").
+    wv = w.astype(_gains_dtype(w))
     step = max(1, _BLOCK_ENTRIES // max(1, n))
-    gains = np.empty(n)
+    gains = np.empty(n, dtype=wv.dtype)
     for lo in range(0, n, step):
-        gains[lo:lo + step] = in_ball[lo:lo + step] @ w
+        gains[lo:lo + step] = in_ball[lo:lo + step] @ wv
     centers: list[int] = []
     while len(centers) < k and uncovered.any():
         x = int(gains.argmax())
@@ -106,9 +128,10 @@ def outliers_cluster(
         keep = D[x] > cover_r
         newly = np.flatnonzero(uncovered & ~keep)
         uncovered &= keep
+        # Row y of the symmetric in_ball marks the balls that contain y.
         for lo in range(0, len(newly), step):
-            cols = newly[lo:lo + step]
-            gains -= in_ball[:, cols] @ w[cols]
+            rows = newly[lo:lo + step]
+            gains -= wv[rows] @ in_ball[rows]
     return OutliersClusterResult(
         centers_idx=np.asarray(centers, dtype=np.int64),
         uncovered=uncovered,

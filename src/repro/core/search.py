@@ -45,8 +45,8 @@ class RadiusSearchResult:
     @property
     def evaluations(self) -> int:
         """Number of OutliersCluster runs performed (reported by the
-        sequential-experiment harness; each costs one pass over the |T|^2
-        matrix, see ``outliers_cluster``)."""
+        sequential-experiment harness; each costs about two passes over
+        the |T|^2 matrix, see ``outliers_cluster``)."""
         return len(self.trace)
 
     def centers(self, T) -> np.ndarray:

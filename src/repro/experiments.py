@@ -229,6 +229,7 @@ def _sequential(c: Cell, *, mu: int) -> dict:
         "radius": radius(c.X, centers, c.t.z),
         "r_search": search.r,
         "search_evaluations": search.evaluations,
+        "search_trace": search.trace,
         **times,
     }
 

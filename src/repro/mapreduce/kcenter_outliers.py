@@ -42,6 +42,8 @@ class MROutliersResult:
     coreset_weight: int  # total weight (must equal |S|)
     part_sizes: dict[int, int]
     search_evaluations: int
+    # the search's (r, uncovered_weight, n_centers) per probe, in order
+    search_trace: tuple[tuple[float, float, int], ...]
     t_coreset: float  # round-1 wall time
     t_cluster: float  # round-2 wall time (search + OutliersCluster)
 
@@ -124,6 +126,7 @@ def mr_kcenter_outliers(
         coreset_weight=int(r1.weights.sum()),
         part_sizes=r1.part_sizes,
         search_evaluations=search.evaluations,
+        search_trace=search.trace,
         t_coreset=t1 - t0,
         t_cluster=t2 - t1,
     )

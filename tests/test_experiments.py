@@ -19,6 +19,7 @@ from repro.experiments import (
     grid,
     make_dataset,
     run,
+    save,
     shuffled,
 )
 
@@ -177,3 +178,26 @@ def test_cli_writes_csv_and_run_record(tmp_path):
     assert record["git_sha"] == (sha.stdout.strip() or None)
     # one raw row per (dataset, repeat, cell), before averaging
     assert len(record["rows"]) == 3 * len(TABLES["T2"].points)
+
+
+def test_run_record_carries_search_trace(spark, tmp_path, monkeypatch):
+    """The MR outliers rows (T3, T5, T6) and the T7 rows of the run record
+    hold the radius search's (r, uncovered weight, centers) per probe; the
+    returned radius is the smallest feasible probe."""
+    monkeypatch.chdir(tmp_path)
+    small = dict(n=300, k=3, z=5, names=("power",), repeats=1)
+    for t in (
+        replace(TABLES["T6"], points=grid(mu=(2,), ell=(2,)), **small),
+        replace(TABLES["T7"], points=grid(mu=(0, 2)), **small),
+    ):
+        save(t, *run(t, spark))
+        record = tmp_path / "results" / f"{t.stem}.json"
+        rows = json.loads(record.read_text())["rows"]
+        assert len(rows) == len(t.points)
+        for row in rows:
+            trace = row["search_trace"]
+            assert len(trace) == row["search_evaluations"] >= 1
+            assert all(len(probe) == 3 for probe in trace)
+            assert row["r_search"] == min(
+                r for r, unc_w, _ in trace if unc_w <= t.z
+            )

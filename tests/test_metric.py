@@ -52,6 +52,25 @@ class TestCdist:
         d = metric.cdist(a, a)
         np.testing.assert_allclose(d, d.T, atol=1e-9)
 
+    @pytest.mark.parametrize("n", [1, 2, 17, 130, 1000])
+    @pytest.mark.parametrize("dim", [1, 7, 50])
+    @pytest.mark.parametrize("layout", ["c64", "f32", "strided"])
+    def test_self_matrix_bitwise_symmetric(self, n, dim, layout):
+        """cdist(T, T) equals its transpose bit for bit, with coincident
+        rows and magnitudes 1e-3..1e3, also for the float32 and
+        non-contiguous inputs that as_points converts: outliers_cluster's
+        row update relies on it."""
+        g = np.random.default_rng([n, dim])
+        T = g.normal(size=(n, dim)) * 10.0 ** g.integers(-3, 4, (n, 1))
+        T[: n // 3] = T[n // 3: 2 * (n // 3)]  # coincident rows
+        if layout == "f32":
+            T = T.astype(np.float32)
+        elif layout == "strided":
+            T = np.repeat(T, 2, axis=1)[:, ::2]
+            assert T.size == 1 or not T.flags["C_CONTIGUOUS"]
+        D = metric.cdist(T, T)
+        assert np.array_equal(D, D.T)
+
     def test_no_negative_under_clip(self):
         a = np.full((3, 2), 1e8)
         assert (metric.cdist(a, a) >= 0).all()

@@ -199,3 +199,43 @@ class TestIncrementalGains:
             np.testing.assert_array_equal(res.centers_idx, ref_idx, str(seed))
             np.testing.assert_array_equal(res.uncovered, ref_unc, str(seed))
             assert res.uncovered_weight == ref_w, seed
+
+
+class TestGainsPrecision:
+    """The gains are float32 up to a total weight of 2^24, where every
+    integer sum is exact, and float64 above."""
+
+    def test_dtype_threshold(self):
+        half = np.full(2, 2.0**23)
+        assert oc_module._gains_dtype(half) is np.float32
+        assert oc_module._gains_dtype(half + [0, 1]) is np.float64
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_picks_true_maximum_above_threshold(self, k):
+        """Ball weights 2^24 (first) and 2^24 + 1 (second) tie in float32;
+        the heavier ball must win."""
+        pts = np.array([[0.0], [0.5], [100.0], [100.5]])
+        w = np.array([2.0**23, 2.0**23, 2.0**23, 2.0**23 + 1])
+        res = outliers_cluster(pts, w, k, 1.0, 0.0)
+        assert res.centers_idx[0] in (2, 3)
+        ref_idx, ref_unc, _ = _recompute_every_pick(
+            cdist(pts, pts), w, k, 1.0, 0.0
+        )
+        np.testing.assert_array_equal(res.centers_idx, ref_idx)
+        np.testing.assert_array_equal(res.uncovered, ref_unc)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_total_at_threshold_matches_recompute(self, seed):
+        """Integer weights summing to exactly 2^24 (float32 gains) give the
+        reference's picks."""
+        pts, w, D, k, r, eps_hat = _instance(seed + 1)
+        g = np.random.default_rng(seed)
+        w = g.integers(1, 2**24 // len(w), len(w)).astype(np.float64)
+        w[0] += 2**24 - w.sum()
+        assert w.sum() == 2**24 and w.min() >= 1
+        assert oc_module._gains_dtype(w) is np.float32
+        ref_idx, ref_unc, ref_w = _recompute_every_pick(D, w, k, r, eps_hat)
+        res = outliers_cluster(pts, w, k, r, eps_hat, dist_matrix=D)
+        np.testing.assert_array_equal(res.centers_idx, ref_idx)
+        np.testing.assert_array_equal(res.uncovered, ref_unc)
+        assert res.uncovered_weight == ref_w
