@@ -8,8 +8,9 @@
                       computation of both MapReduce algorithms).
 ``outliers_cluster``  Algorithm 1 of the paper: the weighted variant of the
                       Charikar et al. greedy for k-center with outliers.
-``search``            Minimum-feasible-radius searches (geometric grid with
-                      binary search, and the exact-candidate variant), and the
-                      CHARIKARETAL sequential baseline built on them.
+``search``            The minimum-feasible-radius search: one bisection over
+                      a geometric (1+delta) grid or over the exact pairwise
+                      distances, and the CHARIKARETAL sequential baseline
+                      built on it.
 """
 from repro.core import gmm, metric, outliers_cluster, search  # noqa: F401

@@ -28,7 +28,12 @@ from repro.core.search import RadiusSearchResult, min_feasible_radius
 from repro.data.datasets import to_spark
 from repro.mapreduce.evaluate import radius_spark
 from repro.mapreduce.partitioning import make_pids
-from repro.mapreduce.round1 import CoresetSpec, Round1Result, run_round1
+from repro.mapreduce.round1 import (
+    CoresetSpec,
+    Round1Result,
+    build_coreset,
+    run_round1,
+)
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,14 @@ def experiment_tau(
     dropped there, as in the paper)."""
     base = k + (6.0 * z / ell if randomized else z)
     return max(k + 1, math.ceil(mu * base))
+
+
+def _coreset_spec(tau: int | None, k_base: int, eps: float | None):
+    """The fixed-size spec when ``tau`` is given, else the adaptive one;
+    ``CoresetSpec`` raises ``ValueError`` if neither is given."""
+    if tau is not None:
+        return CoresetSpec(tau=tau)
+    return CoresetSpec(k_base=k_base, eps=eps)
 
 
 def mr_kcenter_outliers(
@@ -100,10 +113,7 @@ def mr_kcenter_outliers(
             "the randomized variant's guarantee requires random partitioning"
         )
     k_base = k + (randomized_zprime(n, z, ell) if randomized else z)
-    if tau is not None:
-        spec = CoresetSpec(tau=tau)
-    else:
-        spec = CoresetSpec(k_base=k_base, eps=eps)
+    spec = _coreset_spec(tau, k_base, eps)
 
     pids = make_pids(
         n, ell, partition_mode, seed=seed, outlier_mask=outlier_mask
@@ -147,14 +157,10 @@ def sequential_coreset_outliers(
 
     Returns ``(centers, search_result, t_coreset, t_cluster)``.
     """
-    from repro.core.gmm import gmm_coreset_adaptive, gmm_coreset_fixed
-
     points = finite_points(points)
+    spec = _coreset_spec(tau, k + z, eps)
     t0 = time.perf_counter()
-    if tau is not None:
-        T, w, _ = gmm_coreset_fixed(points, tau)
-    else:
-        T, w, _ = gmm_coreset_adaptive(points, k + z, eps)
+    T, w, _ = build_coreset(points, spec)
     t1 = time.perf_counter()
     search = min_feasible_radius(T, w, k, z, eps_hat)
     t2 = time.perf_counter()

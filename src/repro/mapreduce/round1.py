@@ -66,7 +66,9 @@ class CoresetSpec:
             raise ValueError(f"eps must be positive, got {self.eps}")
 
 
-def _build_coreset(X: np.ndarray, spec: CoresetSpec):
+def build_coreset(X: np.ndarray, spec: CoresetSpec):
+    """One subset's weighted coreset under ``spec``: ``(points, weights,
+    GMM result)``."""
     if spec.tau is not None:
         return gmm_coreset_fixed(X, spec.tau)
     return gmm_coreset_adaptive(X, spec.k_base, spec.eps)
@@ -107,7 +109,7 @@ def _subset_coresets(it, spec: CoresetSpec):
         ids = np.concatenate([i for i, _ in subs])
         order = np.argsort(ids, kind="stable")
         X = np.concatenate([x for _, x in subs])[order]
-        centers, weights, _ = _build_coreset(X, spec)
+        centers, weights, _ = build_coreset(X, spec)
         yield pid, centers, weights, len(X)
 
 

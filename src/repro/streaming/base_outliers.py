@@ -16,10 +16,10 @@ memory for its radius guess r:
 
 At end of stream the <= k centers cover all but <= k*z + z stored free
 points; the final solution completes the centers by running the offline
-[16] search (``min_feasible_radius_exact``) over the instance's stored
-points. The experiments run m parallel instances on a geometric guess
-ladder (space m*k*z) and report the instance with the smallest surviving
-guess, mirroring BASESTREAM.
+[16] algorithm (``charikar``) over the instance's stored points. The
+experiments run m parallel instances on a geometric guess ladder (space
+m*k*z) and report the instance with the smallest surviving guess,
+mirroring BASESTREAM.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.metric import cdist, finite_points
-from repro.core.search import min_feasible_radius_exact
+from repro.core.search import charikar
 from repro.streaming import common
 from repro.streaming.common import StreamResult, first_far, guess_ladder_stream
 
@@ -102,13 +102,10 @@ class _OutlierInstance:
 
 
 def _complete(best: _OutlierInstance, k: int, z: int) -> np.ndarray:
-    """Offline completion on the O(k*z) stored points: the [16] search with
-    unit weights yields the final k centers."""
+    """Offline completion on the O(k*z) stored points: [16] yields the
+    final k centers."""
     stored = best.stored_points()
-    search = min_feasible_radius_exact(
-        stored, np.ones(len(stored)), k, min(z, max(0, len(stored) - 1)),
-        eps_hat=0.0,
-    )
+    search = charikar(stored, k, min(z, max(0, len(stored) - 1)))
     return search.centers(stored)
 
 

@@ -81,16 +81,20 @@ class DoublingCoreset:
         """phi <- 2*phi, then greedily merge centers within 4*phi, repeated
         until |T| <= tau (each repetition doubles phi again).
 
-        If phi is still 0 (all seed points coincided), it is bootstrapped to
-        half the minimum positive pairwise gap — the same lower-bound
-        argument as at initialization — after folding exact duplicates.
+        While phi is 0 (at initialization, or after a seed of coincident
+        points) it is bootstrapped to half the closest gap between centers,
+        a lower bound on r*_tau. A gap of 0 means exact duplicates: they
+        are folded first (a fold within 4*phi needs phi > 0), and phi stays
+        0 if that alone restores |T| <= tau.
         """
         while True:
             if self.phi == 0.0:
-                self._fold(0.0)
-                if self._m <= self.tau:
-                    return
                 gap = pairwise_min_gap(self._pts[: self._m])
+                if gap == 0.0:
+                    self._fold(0.0)
+                    if self._m <= self.tau:
+                        return
+                    gap = pairwise_min_gap(self._pts[: self._m])
                 self.phi = gap / 2.0
             self.phi *= 2.0
             self.doublings += 1
@@ -130,23 +134,12 @@ class DoublingCoreset:
         self._m = len(keep)
 
     def _seed(self) -> None:
-        """T holds the first tau+1 points, weight 1 each: fix phi and merge
-        down to at most tau centers."""
-        gap = pairwise_min_gap(self._pts[: self._m])
-        # phi starts at half the min pairwise distance; the prescribed merge
-        # is then applied so invariants (a)-(b) hold before the next point.
-        self.phi = gap / 2.0 if gap > 0 else 0.0
+        """T holds the first tau+1 points, weight 1 each: the merge rule
+        fixes phi and merges down to at most tau centers. With phi at half
+        the closest seed gap, the doubled phi puts that pair within 4*phi,
+        so it merges and (a)-(b) hold before the next point, the paper's
+        end-of-init step."""
         self._initialized = True
-        if self.phi == 0.0:
-            # Coincident seed points: fold duplicates (distance 0 <= 4*phi
-            # requires phi > 0, so dedupe explicitly), keep phi = 0.
-            self._fold(0.0)
-            if self._m > self.tau:
-                raise AssertionError("dedupe left more than tau centers")
-            return
-        # phi was set to half the closest seed gap, so after the merge rule
-        # doubles it that closest pair is within 4*phi and merges,
-        # re-establishing (a) — the paper's prescribed end-of-init step.
         self._merge_rule()
 
     # -- public API --------------------------------------------------------

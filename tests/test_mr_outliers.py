@@ -153,6 +153,11 @@ class TestSequentialPath:
         np.testing.assert_allclose(mr.centers, centers)
         assert mr.r_search == pytest.approx(search.r)
 
+    def test_needs_tau_or_eps(self, blobs_out):
+        pts, _ = blobs_out
+        with pytest.raises(ValueError, match="exactly one"):
+            sequential_coreset_outliers(pts, 3, 6)
+
     def test_sequential_quality(self, blobs_out):
         pts, mask = blobs_out
         z = int(mask.sum())
