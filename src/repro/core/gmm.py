@@ -131,19 +131,17 @@ def gmm(X, tau: int, *, first: int = 0, stop=None) -> GmmResult:
     )
 
 
-def gmm_coreset_fixed(X, tau: int, *, first: int = 0):
+def gmm_coreset_fixed(X, tau: int):
     """Coreset of exactly ``tau`` centers (fewer only if X has fewer
     distinct points), with proxy weights — the experimental construction.
 
     Returns ``(coreset_points, weights, result)``.
     """
-    res = gmm(X, tau, first=first)
+    res = gmm(X, tau)
     return res.centers(X), res.weights(), res
 
 
-def gmm_coreset_adaptive(
-    X, k_base: int, eps: float, *, first: int = 0, max_tau: int | None = None
-):
+def gmm_coreset_adaptive(X, k_base: int, eps: float):
     """The paper's theoretical stopping rule (Sections 3.1/3.2).
 
     Runs GMM past ``k_base`` centers until the first iteration
@@ -154,13 +152,11 @@ def gmm_coreset_adaptive(
     if eps <= 0:
         raise ValueError("eps must be positive")
     X = as_points(X)
-    n = len(X)
-    cap = n if max_tau is None else min(n, max_tau)
 
     def stop(j: int, radii: np.ndarray) -> bool:
         if j < k_base or j < 1:
             return False
         return radii[j - 1] <= (eps / 2.0) * radii[min(k_base, len(radii)) - 1]
 
-    res = gmm(X, cap, first=first, stop=stop)
+    res = gmm(X, len(X), stop=stop)
     return res.centers(X), res.weights(), res

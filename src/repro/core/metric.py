@@ -3,8 +3,8 @@
 All algorithms in the paper touch the input only through pairwise Euclidean
 distances, so this module is the single place where geometry happens:
 chunked distance computation, nearest-center assignment, clustering radii
-with and without outliers, and tiny brute-force solvers used as exact
-oracles in tests.
+with and without outliers, the closest-pair gap, and tiny brute-force
+solvers used as exact oracles in tests.
 
 Points are ``float64`` numpy arrays of shape ``(n, d)``; centers are either
 index arrays into a point set or ``(m, d)`` coordinate arrays.
@@ -120,22 +120,14 @@ def radius_from_distances(dist: np.ndarray, z: int = 0) -> float:
     return float(np.partition(dist, n - z - 1)[n - z - 1])
 
 
-def pairwise_min_gap(points) -> float:
-    """Smallest distance between two distinct points (chunked)."""
-    points = as_points(points)
-    n = len(points)
+def min_gap(D: np.ndarray) -> float:
+    """Distance of the closest pair of P, the smallest off-diagonal entry
+    of ``D = cdist(P, P)`` (0.0 for fewer than two points). The diagonal is
+    skipped, not trusted: ``cdist`` can leave noise on a self-distance."""
+    n = len(D)
     if n < 2:
         return 0.0
-    best = np.inf
-    step = max(1, _CHUNK_ENTRIES // n)
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        d = cdist(points[lo:hi], points)
-        # mask the self-distances on the diagonal block
-        rows = np.arange(lo, hi)
-        d[np.arange(hi - lo), rows] = np.inf
-        best = min(best, float(d.min()))
-    return best
+    return float(D.min(where=~np.eye(n, dtype=bool), initial=np.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,8 @@ def _search(T, weights, k, z, eps_hat, delta) -> RadiusSearchResult:
     (its cover radius is at least 3r) and that probe is always feasible:
     it runs only if no midpoint was feasible.
     """
+    if z < 0:
+        raise ValueError(f"z must be >= 0, got {z}")
     T = as_points(T)
     w = np.asarray(weights, dtype=np.float64)
     D = cdist(T, T)

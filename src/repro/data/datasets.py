@@ -114,15 +114,19 @@ def meb_approx(points) -> tuple[np.ndarray, float]:
     return c, r
 
 
+# Section 5.2's outlier distance from the MEB center and separation, in r_MEB.
+OUTLIER_DIST = 100.0
+OUTLIER_MIN_SEP = 10.0
+
+
 def add_outliers(
-    points, z: int, *, seed: int = 0, dist_factor: float = 100.0,
-    min_sep_factor: float = 10.0,
+    points, z: int, *, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inject ``z`` true outliers per Section 5.2.
 
-    Each outlier sits at ``dist_factor * r_MEB`` from the MEB center in a
+    Each outlier sits at ``OUTLIER_DIST * r_MEB`` from the MEB center in a
     random direction; directions are rejection-sampled until every pair of
-    injected points is >= ``min_sep_factor * r_MEB`` apart.
+    injected points is >= ``OUTLIER_MIN_SEP * r_MEB`` apart.
 
     Returns ``(augmented_points, is_outlier_mask)`` with the outliers
     appended after the original points.
@@ -140,13 +144,13 @@ def add_outliers(
         if attempts > 1000 * z:
             raise RuntimeError(
                 f"could not place {z} outliers with pairwise separation "
-                f">= {min_sep_factor}*r_MEB in dimension {d}"
+                f">= {OUTLIER_MIN_SEP}*r_MEB in dimension {d}"
             )
         v = g.standard_normal(d)
         v /= np.linalg.norm(v)
-        p = c + dist_factor * r * v
+        p = c + OUTLIER_DIST * r * v
         if all(
-            float(np.linalg.norm(p - q)) >= min_sep_factor * r for q in out
+            float(np.linalg.norm(p - q)) >= OUTLIER_MIN_SEP * r for q in out
         ):
             out.append(p)
     aug = np.vstack([points, np.array(out)])

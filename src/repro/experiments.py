@@ -196,10 +196,12 @@ def _mr_fixed_union(c: Cell, *, mu: float, ell: int) -> dict:
 
 
 _STREAMS = {
-    "CORESETSTREAM": lambda c, mu: coreset_stream_kcenter(c.X, c.k, mu=mu),
+    "CORESETSTREAM": lambda c, mu: coreset_stream_kcenter(
+        c.X, c.k, tau=mu * c.k
+    ),
     "BASESTREAM": lambda c, m: base_stream_kcenter(c.X, c.k, m=m),
     "CORESETOUTLIERS": lambda c, mu: coreset_stream_outliers(
-        c.X, c.k, c.t.z, mu=mu
+        c.X, c.k, c.t.z, tau=mu * (c.k + c.t.z)
     ),
     "BASEOUTLIERS": lambda c, m: base_stream_outliers(c.X, c.k, c.t.z, m=m),
 }

@@ -18,8 +18,8 @@ working set.
 ``base_outliers``     BASEOUTLIERS [27]: (4+eps) guess-based streaming
                       k-center with outliers, m instances of O(k*z) space.
 ``two_pass``          the 2-pass D-oblivious variant (Section 4, end).
-``common``            ``StreamResult`` and the baselines' shared seeding and
-                      guess ladder.
+``common``            ``StreamResult``, the block scan, the greedy cover and
+                      the baselines' shared seeding and guess ladder.
 """
 from repro.streaming import (  # noqa: F401
     base_outliers,

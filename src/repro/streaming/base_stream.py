@@ -55,17 +55,11 @@ class _Instance:
                 self._recluster()
 
     def _recluster(self) -> None:
-        """Keep a maximal subset of centers pairwise > 2r apart; dropped
-        centers are within 2r of a kept one, so coverage is preserved up to
-        the doubled radius."""
-        kept: list[np.ndarray] = []
-        for c in self.centers:
-            if kept:
-                d = cdist(c[None, :], np.asarray(kept))[0]
-                if float(d.min()) <= 2.0 * self.r:
-                    continue
-            kept.append(c)
-        self.centers = kept
+        """Keep the greedy cover of the centers at 2r: each dropped center is
+        within 2r of a kept one, so coverage holds at the doubled radius."""
+        C = np.asarray(self.centers)
+        owner = common.greedy_cover(cdist(C, C), 2.0 * self.r)
+        self.centers = [c for i, c in enumerate(self.centers) if owner[i] == i]
 
 
 def base_stream_kcenter(points, k: int, *, m: int = 1) -> StreamResult:

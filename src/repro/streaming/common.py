@@ -1,6 +1,7 @@
 """What the streaming algorithms share: the result record, the block scan
-of the update rule, and the [27] seeding and guess ladder of the two
-baselines (BASESTREAM, BASEOUTLIERS).
+of the update rule, the greedy cover behind the doubling merge rule and
+BASESTREAM's re-clustering, and the [27] seeding and guess ladder of the
+two baselines (BASESTREAM, BASEOUTLIERS).
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.metric import pairwise_min_gap
+from repro.core.metric import cdist, min_gap
 
 # Stream rows whose distances to the current centers one scan step computes
 # in a single ``cdist`` call (see ``first_far``). A larger block wastes more
@@ -38,6 +39,31 @@ def first_far(D: np.ndarray, thresh: float) -> tuple[int, np.ndarray]:
     far = np.flatnonzero(D[np.arange(len(D)), nearest] > thresh)
     f = int(far[0]) if len(far) else len(D)
     return f, nearest[:f]
+
+
+def greedy_cover(D: np.ndarray, thresh: float) -> np.ndarray:
+    """Greedy cover at ``thresh`` of the points behind ``D = cdist(P, P)``,
+    read in order: a point within ``thresh`` of a kept point folds into its
+    nearest kept point (the earliest on a tie); any other point is kept.
+
+    Returns ``owner``, the kept point each point maps to (``owner[i] == i``
+    for a kept point). Each kept point lowers the running nearest-kept
+    distance of the later points from its own row of ``D``, reading
+    ``D[j, i]`` for ``D[i, j]``: ``D`` must be bit-symmetric, as
+    ``cdist(P, P)`` is.
+    """
+    n = len(D)
+    owner = np.arange(n)
+    nearest = np.full(n, np.inf)  # distance to the nearest kept point so far
+    for i in range(n):
+        if nearest[i] <= thresh:
+            continue
+        owner[i] = i  # an earlier kept point farther than thresh claimed it
+        row, tail = D[i, i + 1 :], nearest[i + 1 :]
+        closer = row < tail  # strict: the earlier kept point wins a tie
+        tail[closer] = row[closer]
+        owner[i + 1 :][closer] = i
+    return owner
 
 
 @dataclass(frozen=True)
@@ -98,6 +124,8 @@ def guess_ladder_stream(
     distinct points with a positive gap arrive), the first k distinct
     buffered points in sorted order are returned.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if m < 1:
         raise ValueError("m must be >= 1")
     n = len(points)
@@ -110,7 +138,8 @@ def guess_ladder_stream(
             continue
         distinct[key] = p
         if len(distinct) >= seed_size:
-            gap = pairwise_min_gap(np.asarray(list(distinct.values())))
+            S = np.asarray(list(distinct.values()))
+            gap = min_gap(cdist(S, S))
             if gap > 0.0:
                 base = gap / 2.0
                 instances = [

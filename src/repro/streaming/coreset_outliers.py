@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from repro.core.metric import finite_points
 from repro.core.search import min_feasible_radius
 from repro.streaming.common import StreamResult
@@ -24,18 +22,16 @@ def coreset_stream_outliers(
     z: int,
     *,
     tau: int | None = None,
-    mu: float = 1.0,
     eps_hat: float = 0.05,
 ) -> StreamResult:
     """Run CORESETOUTLIERS over ``points`` (the simulated stream).
 
-    ``tau`` defaults to ceil(mu * (k+z)); Figure 5 sweeps mu over
+    ``tau`` defaults to k+z; Figure 5 passes tau = mu*(k+z) for mu in
     {1, 2, 4, 8, 16}. ``eps_hat`` parameterizes OutliersCluster and the
     radius-search tolerance, exactly as in the MapReduce second round.
     """
     points = finite_points(points)
-    if tau is None:
-        tau = max(k + z, int(np.ceil(mu * (k + z))))
+    tau = k + z if tau is None else tau
     if tau < k + z:
         raise ValueError(f"tau must be >= k+z, got tau={tau}, k+z={k + z}")
     coreset = DoublingCoreset(tau, points.shape[1])

@@ -9,24 +9,21 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from repro.core.gmm import gmm
 from repro.core.metric import finite_points
 from repro.streaming.common import StreamResult
 from repro.streaming.doubling import DoublingCoreset
 
 
-def coreset_stream_kcenter(points, k: int, *, tau: int | None = None,
-                           mu: float = 1.0) -> StreamResult:
+def coreset_stream_kcenter(points, k: int, *,
+                           tau: int | None = None) -> StreamResult:
     """Run CORESETSTREAM over ``points`` (the simulated stream, in order).
 
-    ``tau`` defaults to ceil(mu * k); the Figure 3 sweep varies mu over
+    ``tau`` defaults to k; the Figure 3 sweep passes tau = mu*k for mu in
     {1, 2, 4, 8, 16}.
     """
     points = finite_points(points)
-    if tau is None:
-        tau = max(k, int(np.ceil(mu * k)))
+    tau = k if tau is None else tau
     if tau < k:
         raise ValueError(f"tau must be >= k, got tau={tau}, k={k}")
     coreset = DoublingCoreset(tau, points.shape[1])

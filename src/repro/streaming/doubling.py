@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.metric import as_points, cdist, pairwise_min_gap
+from repro.core.metric import as_points, cdist, min_gap
 from repro.streaming import common
-from repro.streaming.common import first_far
+from repro.streaming.common import first_far, greedy_cover
 
 
 class DoublingCoreset:
@@ -81,56 +81,42 @@ class DoublingCoreset:
         """phi <- 2*phi, then greedily merge centers within 4*phi, repeated
         until |T| <= tau (each repetition doubles phi again).
 
-        While phi is 0 (at initialization, or after a seed of coincident
-        points) it is bootstrapped to half the closest gap between centers,
-        a lower bound on r*_tau. A gap of 0 means exact duplicates: they
-        are folded first (a fold within 4*phi needs phi > 0), and phi stays
-        0 if that alone restores |T| <= tau.
+        Each repetition reads one D = cdist(T, T). While phi is 0 (at
+        initialization, or after a seed of coincident points) it is
+        bootstrapped to half the closest gap in D, a lower bound on r*_tau.
+        A gap of 0 means duplicates: they are folded first (a fold within
+        4*phi needs phi > 0), and phi stays 0 if that alone restores |T| <=
+        tau. That fold reads the gap's D, so it drops a center: the loop ends.
         """
         while True:
+            T = self._pts[: self._m]
+            D = cdist(T, T)
             if self.phi == 0.0:
-                gap = pairwise_min_gap(self._pts[: self._m])
+                gap = min_gap(D)
                 if gap == 0.0:
-                    self._fold(0.0)
+                    self._fold(D, 0.0)
                     if self._m <= self.tau:
                         return
-                    gap = pairwise_min_gap(self._pts[: self._m])
+                    continue
                 self.phi = gap / 2.0
             self.phi *= 2.0
             self.doublings += 1
-            self._fold(4.0 * self.phi)
+            self._fold(D, 4.0 * self.phi)
             if self._m <= self.tau:
                 return
 
-    def _fold(self, thresh: float) -> None:
-        """Keep a maximal prefix-greedy subset of centers pairwise farther
-        than ``thresh`` apart; fold each discarded center's weight into the
+    def _fold(self, D: np.ndarray, thresh: float) -> None:
+        """Keep the greedy cover of T at ``thresh`` (``greedy_cover`` over
+        ``D = cdist(T, T)``); each dropped center's weight goes to its
         nearest kept one (the proxy reassignment). ``thresh = 4*phi``
-        re-establishes invariant (b); ``thresh = 0`` folds exact duplicates
-        while phi is still 0."""
+        re-establishes invariant (b); ``thresh = 0`` folds duplicates while
+        phi is still 0."""
         m = self._m
-        if m < 2:
-            return
-        pts, w = self._pts[:m], self._w[:m]
-        D = cdist(pts, pts)
-        keep: list[int] = []
-        merged_into = np.full(m, -1, dtype=np.int64)
-        for i in range(m):
-            if keep:
-                dk = D[i, keep]
-                j = int(np.argmin(dk))
-                if dk[j] <= thresh:
-                    merged_into[i] = keep[j]
-                    continue
-            keep.append(i)
-        if len(keep) == m:
-            return
-        new_w = w.copy()
-        for i in range(m):
-            if merged_into[i] >= 0:
-                new_w[merged_into[i]] += new_w[i]
-        self._pts[: len(keep)] = pts[keep]
-        self._w[: len(keep)] = new_w[keep]
+        owner = greedy_cover(D, thresh)
+        keep = np.flatnonzero(owner == np.arange(m))
+        w = np.bincount(owner, weights=self._w[:m], minlength=m)
+        self._pts[: len(keep)] = self._pts[keep]
+        self._w[: len(keep)] = w[keep]
         self._m = len(keep)
 
     def _seed(self) -> None:

@@ -88,6 +88,23 @@ class TestMechanics:
         dc = DoublingCoreset(2, 2).process(pts)
         assert dc.size <= 2 and dc.weights.sum() == 8
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_repeated_float_rows(self, seed):
+        """Float streams with about half their rows repeating an earlier
+        row, offset up to 1e3 from the origin, so that ``cdist`` leaves
+        rounding noise on near-zero distances: ``process`` ends and
+        (a)-(d) hold. A zero gap and the duplicate fold read one matrix, so
+        each zero-gap pass of the merge rule drops a center."""
+        g = np.random.default_rng(4000 + seed)
+        n, d = 300, int(g.integers(1, 8))
+        pts = g.normal(size=(n, d)) * g.uniform(0.01, 10)
+        pts += g.uniform(-1e3, 1e3, d)
+        for i in np.flatnonzero(g.random(n) < 0.5):
+            if i:
+                pts[i] = pts[g.integers(0, i)]
+        dc = DoublingCoreset(int(g.integers(2, 30)), d).process(pts)
+        check_invariants(dc, pts)
+
     def test_dim_mismatch_rejected(self):
         dc = DoublingCoreset(3, 2)
         with pytest.raises(ValueError):

@@ -92,3 +92,36 @@ def test_coreset_spec_rejects_degenerate(kwargs):
 def test_gmm_rejects_tau_below_one(tau):
     with pytest.raises(ValueError, match="tau must be >= 1"):
         gmm(np.zeros((5, 2)), tau)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda X: base_stream_kcenter(X, 0),
+        lambda X: base_stream_outliers(X, 0, 5),
+    ],
+    ids=["base_stream_kcenter", "base_stream_outliers"],
+)
+def test_baselines_reject_k_zero(call):
+    """With k = 0 no guess instance can ever fit its centers, so its guess
+    would double forever. A stream of one repeated point never seeds the
+    ladder, so this input returns, rather than loops, without the check."""
+    X = np.tile([[1.0, 2.0]], (50, 1))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        call(X)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda X: coreset_stream_outliers(X, 2, -1),
+        lambda X: two_pass_outliers(X, 2, -1),
+        lambda X: sequential_coreset_outliers(X, 2, -2, tau=10),
+    ],
+    ids=["coreset_stream_outliers", "two_pass_outliers",
+         "sequential_coreset_outliers"],
+)
+def test_outliers_reject_negative_z(call):
+    X = np.random.default_rng(0).uniform(-1, 1, (200, 2))
+    with pytest.raises(ValueError, match="z must be >= 0"):
+        call(X)

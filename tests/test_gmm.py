@@ -196,10 +196,6 @@ class TestAdaptiveCoreset:
         with pytest.raises(ValueError):
             gmm_coreset_adaptive(three_blobs, 3, 0.0)
 
-    def test_max_tau_cap(self, three_blobs):
-        _, _, res = gmm_coreset_adaptive(three_blobs, 3, 1e-9, max_tau=10)
-        assert res.tau <= 10
-
 
 class TestDoublingDimensionBound:
     def test_lemma3_bound_low_dimension(self):

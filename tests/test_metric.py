@@ -163,14 +163,15 @@ class TestRadius:
 class TestGapsAndDiameter:
     def test_pairwise_min_gap(self):
         pts = np.array([[0.0, 0], [1.0, 0], [5.0, 0]])
-        assert metric.pairwise_min_gap(pts) == pytest.approx(1.0)
+        assert metric.min_gap(metric.cdist(pts, pts)) == pytest.approx(1.0)
 
     def test_min_gap_single_point(self):
-        assert metric.pairwise_min_gap(np.zeros((1, 2))) == 0.0
+        pts = np.zeros((1, 2))
+        assert metric.min_gap(metric.cdist(pts, pts)) == 0.0
 
     def test_min_gap_duplicates(self):
         pts = np.array([[1.0, 1], [1.0, 1], [3.0, 3]])
-        assert metric.pairwise_min_gap(pts) == 0.0
+        assert metric.min_gap(metric.cdist(pts, pts)) == 0.0
 
 
 class TestBruteForce:

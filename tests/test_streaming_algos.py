@@ -38,20 +38,20 @@ def stream_blobs_outliers():
 
 class TestCoresetStream:
     def test_recovers_planted_clusters(self, stream_blobs):
-        res = coreset_stream_kcenter(stream_blobs, 4, mu=4)
+        res = coreset_stream_kcenter(stream_blobs, 4, tau=16)
         assert radius(stream_blobs, res.centers) < 5.0
 
     def test_space_bound(self, stream_blobs):
-        res = coreset_stream_kcenter(stream_blobs, 4, mu=4)
+        res = coreset_stream_kcenter(stream_blobs, 4, tau=16)
         assert res.space <= 4 * 4 + 1
 
     def test_returns_k_centers(self, stream_blobs):
-        res = coreset_stream_kcenter(stream_blobs, 4, mu=2)
+        res = coreset_stream_kcenter(stream_blobs, 4, tau=8)
         assert len(res.centers) == 4
 
     @pytest.mark.parametrize("mu", [1, 2, 4, 8])
     def test_throughput_positive(self, stream_blobs, mu):
-        res = coreset_stream_kcenter(stream_blobs, 4, mu=mu)
+        res = coreset_stream_kcenter(stream_blobs, 4, tau=4 * mu)
         assert res.throughput > 0 and res.n_processed == len(stream_blobs)
 
     def test_tau_below_k_rejected(self, stream_blobs):
@@ -60,9 +60,9 @@ class TestCoresetStream:
 
     def test_larger_mu_no_worse_radius(self, stream_blobs):
         r1 = radius(stream_blobs,
-                    coreset_stream_kcenter(stream_blobs, 4, mu=1).centers)
+                    coreset_stream_kcenter(stream_blobs, 4, tau=4).centers)
         r8 = radius(stream_blobs,
-                    coreset_stream_kcenter(stream_blobs, 4, mu=8).centers)
+                    coreset_stream_kcenter(stream_blobs, 4, tau=32).centers)
         assert r8 <= r1 * 1.5 + 1e-9  # monotone in expectation, slack for ties
 
 
@@ -101,12 +101,12 @@ class TestBaseStream:
 class TestCoresetOutliers:
     def test_excludes_planted_outliers(self, stream_blobs_outliers):
         pts, z = stream_blobs_outliers
-        res = coreset_stream_outliers(pts, 3, z, mu=2)
+        res = coreset_stream_outliers(pts, 3, z, tau=2 * (3 + z))
         assert radius(pts, res.centers, z) < 5.0
 
     def test_space_bound(self, stream_blobs_outliers):
         pts, z = stream_blobs_outliers
-        res = coreset_stream_outliers(pts, 3, z, mu=2)
+        res = coreset_stream_outliers(pts, 3, z, tau=2 * (3 + z))
         assert res.space <= 2 * (3 + z) + 1
 
     def test_theorem3_bound_small_instance(self):
@@ -142,7 +142,7 @@ class TestBaseOutliers:
         memory where CORESETOUTLIERS uses ~(k+z)."""
         pts, z = stream_blobs_outliers
         base = base_stream_outliers(pts, 3, z, m=1)
-        ours = coreset_stream_outliers(pts, 3, z, mu=1)
+        ours = coreset_stream_outliers(pts, 3, z)
         assert base.space > ours.space
 
     def test_invalid_params(self, stream_blobs_outliers):
