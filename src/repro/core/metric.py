@@ -46,6 +46,15 @@ def finite_points(x) -> np.ndarray:
     return a
 
 
+def check_kz(k: int, z: int = 0) -> None:
+    """Reject k < 1 or z < 0. The entry points call this before they read
+    their input, so a bad k or z fails at once instead of after a pass."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if z < 0:
+        raise ValueError(f"z must be >= 0, got {z}")
+
+
 def cdist(a, b) -> np.ndarray:
     """Dense Euclidean distance matrix of shape ``(len(a), len(b))``.
 
@@ -135,22 +144,13 @@ def min_gap(D: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def brute_force_kcenter(points, k: int) -> tuple[float, tuple[int, ...]]:
-    """Exact optimal k-center radius r*_k by enumerating center subsets.
+    """Exact optimal k-center radius r*_k by enumerating center subsets:
+    the z = 0 case below.
 
     Only viable for tiny instances (n choose k small); used by tests to
     validate the 2-approximation of GMM and the (2+eps) MR bound.
     """
-    points = as_points(points)
-    n = len(points)
-    if not 0 < k < n:
-        raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
-    full = cdist(points, points)
-    best_r, best_c = np.inf, None
-    for comb in combinations(range(n), k):
-        r = full[:, comb].min(axis=1).max()
-        if r < best_r:
-            best_r, best_c = float(r), comb
-    return best_r, best_c
+    return brute_force_kcenter_outliers(points, k, 0)
 
 
 def brute_force_kcenter_outliers(

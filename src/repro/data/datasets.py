@@ -20,9 +20,8 @@ pairwise distances between injected points are >= 10*r_MEB.
 Inflation follows Section 5.3: sample a base point, add per-coordinate
 Gaussian noise with sigma = 10% of that coordinate's range.
 
-``to_spark``/``from_spark`` convert between a numpy array and the input of
-the MapReduce drivers: an RDD of numpy blocks ``(ids, pids, X)``, one per
-Spark partition.
+``to_spark`` turns a numpy array into the input of the MapReduce drivers:
+an RDD of numpy blocks ``(ids, pids, X)``, one per Spark partition.
 """
 from __future__ import annotations
 
@@ -211,12 +210,3 @@ def to_spark(spark: SparkSession, points, *, pids=None) -> RDD:
         for lo, hi in zip(cuts[:-1], cuts[1:])
     ]
     return sc.parallelize(blocks, splits)
-
-
-def from_spark(blocks: RDD) -> np.ndarray:
-    """Collect an RDD of point blocks back to a ``(n, d)`` numpy array,
-    ordered by ``id`` so round-trips are deterministic."""
-    parts = blocks.collect()
-    ids = np.concatenate([b[0] for b in parts])
-    X = np.concatenate([b[2] for b in parts])
-    return X[np.argsort(ids, kind="stable")]

@@ -79,9 +79,11 @@ def _driver_mem() -> str:
 def spark_session(app: str = "repro") -> SparkSession:
     """The one local SparkSession builder, for the driver and the tests'
     ``spark`` fixture: master ``SPARK_MASTER`` (default local[*]), driver
-    memory from ``_driver_mem``, UI off, broadcast joins disabled. The JVM
-    reads master and memory from ``PYSPARK_SUBMIT_ARGS`` when it launches,
-    so they are set there (unless already set) before the first session."""
+    memory from ``_driver_mem``, UI off. The JVM reads master and memory
+    from ``PYSPARK_SUBMIT_ARGS`` when it launches, so they are set there
+    (unless already set) before the first session. The algorithms use only
+    the RDD API, whose ``partitionBy`` takes its partition count
+    explicitly, so no Spark SQL setting is made."""
     os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
@@ -91,15 +93,7 @@ def spark_session(app: str = "repro") -> SparkSession:
         "--conf spark.ui.enabled=false "
         "pyspark-shell",
     )
-    s = (
-        SparkSession.builder.appName(app)
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    s = SparkSession.builder.appName(app).getOrCreate()
     s.sparkContext.setLogLevel("ERROR")
     return s
 

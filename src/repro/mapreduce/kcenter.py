@@ -57,11 +57,7 @@ def mr_kcenter(
         raise ValueError(f"need 0 < k < n, got k={k}, n={len(points)}")
     if tau is not None and tau < k:
         raise ValueError(f"tau must be >= k, got tau={tau}, k={k}")
-    spec = (
-        CoresetSpec(tau=tau)
-        if tau is not None
-        else CoresetSpec(k_base=k, eps=eps)
-    )
+    spec = CoresetSpec(tau=tau, k_base=k, eps=eps)
     pids = make_pids(len(points), ell, partition_mode, seed=seed)
     blocks = to_spark(spark, points, pids=pids)
     t0 = time.perf_counter()

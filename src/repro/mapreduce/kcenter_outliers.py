@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.metric import finite_points
+from repro.core.metric import check_kz, finite_points
 from repro.core.search import RadiusSearchResult, min_feasible_radius
 from repro.data.datasets import to_spark
 from repro.mapreduce.evaluate import radius_spark
@@ -69,14 +69,6 @@ def experiment_tau(
     return max(k + 1, math.ceil(mu * base))
 
 
-def _coreset_spec(tau: int | None, k_base: int, eps: float | None):
-    """The fixed-size spec when ``tau`` is given, else the adaptive one;
-    ``CoresetSpec`` raises ``ValueError`` if neither is given."""
-    if tau is not None:
-        return CoresetSpec(tau=tau)
-    return CoresetSpec(k_base=k_base, eps=eps)
-
-
 def mr_kcenter_outliers(
     spark: SparkSession,
     points,
@@ -113,7 +105,7 @@ def mr_kcenter_outliers(
             "the randomized variant's guarantee requires random partitioning"
         )
     k_base = k + (randomized_zprime(n, z, ell) if randomized else z)
-    spec = _coreset_spec(tau, k_base, eps)
+    spec = CoresetSpec(tau=tau, k_base=k_base, eps=eps)
 
     pids = make_pids(
         n, ell, partition_mode, seed=seed, outlier_mask=outlier_mask
@@ -157,8 +149,9 @@ def sequential_coreset_outliers(
 
     Returns ``(centers, search_result, t_coreset, t_cluster)``.
     """
+    check_kz(k, z)
+    spec = CoresetSpec(tau=tau, k_base=k + z, eps=eps)
     points = finite_points(points)
-    spec = _coreset_spec(tau, k + z, eps)
     t0 = time.perf_counter()
     T, w, _ = build_coreset(points, spec)
     t1 = time.perf_counter()

@@ -55,8 +55,3 @@ def make_pids(
             )
         return pids
     raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-
-
-def partition_sizes(pids: np.ndarray, ell: int) -> np.ndarray:
-    """Number of points assigned to each of the ell partitions."""
-    return np.bincount(np.asarray(pids), minlength=ell)

@@ -56,7 +56,7 @@ class CoresetSpec:
         adaptive = self.k_base is not None and self.eps is not None
         if fixed == adaptive:
             raise ValueError(
-                "specify exactly one of tau=... or (k_base=..., eps=...)"
+                "exactly one of tau=... or (k_base=..., eps=...) must be given"
             )
         if fixed and self.tau < 1:
             raise ValueError(f"tau must be >= 1, got {self.tau}")

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.metric import cdist, min_gap
+from repro.core.metric import cdist, check_kz, min_gap
 
 # Stream rows whose distances to the current centers one scan step computes
 # in a single ``cdist`` call (see ``first_far``). A larger block wastes more
@@ -124,8 +124,7 @@ def guess_ladder_stream(
     distinct points with a positive gap arrive), the first k distinct
     buffered points in sorted order are returned.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_kz(k)
     if m < 1:
         raise ValueError("m must be >= 1")
     n = len(points)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 
-from repro.core.metric import finite_points
+from repro.core.metric import check_kz, finite_points
 from repro.core.search import min_feasible_radius
 from repro.streaming.common import StreamResult
 from repro.streaming.doubling import DoublingCoreset
@@ -30,6 +30,7 @@ def coreset_stream_outliers(
     {1, 2, 4, 8, 16}. ``eps_hat`` parameterizes OutliersCluster and the
     radius-search tolerance, exactly as in the MapReduce second round.
     """
+    check_kz(k, z)
     points = finite_points(points)
     tau = k + z if tau is None else tau
     if tau < k + z:

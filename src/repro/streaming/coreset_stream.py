@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 
 from repro.core.gmm import gmm
-from repro.core.metric import finite_points
+from repro.core.metric import check_kz, finite_points
 from repro.streaming.common import StreamResult
 from repro.streaming.doubling import DoublingCoreset
 
@@ -22,6 +22,7 @@ def coreset_stream_kcenter(points, k: int, *,
     ``tau`` defaults to k; the Figure 3 sweep passes tau = mu*k for mu in
     {1, 2, 4, 8, 16}.
     """
+    check_kz(k)
     points = finite_points(points)
     tau = k if tau is None else tau
     if tau < k:

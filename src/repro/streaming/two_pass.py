@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from repro.core.metric import cdist, finite_points
+from repro.core.metric import cdist, check_kz, finite_points
 from repro.core.search import min_feasible_radius
 from repro.streaming import common
 from repro.streaming.common import StreamResult, first_far
@@ -63,6 +63,9 @@ def two_pass_outliers(
     ``eps`` is the overall precision (the algorithm uses eps_hat = eps/6
     internally, as in Theorem 3).
     """
+    check_kz(k, z)
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     points = finite_points(points)
     n, d = points.shape
     eps_hat = eps / 6.0

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.metric import cdist
 from repro.data import datasets as ds
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent, points_table
 
 
 class TestGenerators:
@@ -118,12 +118,17 @@ class TestInflate:
             ds.inflate(ds.higgs_like(10), 0)
 
 
+def from_spark(blocks) -> np.ndarray:
+    """The points of a ``to_spark`` RDD, collected and ordered by id."""
+    parts = blocks.collect()
+    ids = np.concatenate([b[0] for b in parts])
+    return np.concatenate([b[2] for b in parts])[np.argsort(ids)]
+
+
 class TestSparkConversion:
     def test_round_trip(self, spark):
         X = ds.higgs_like(200, seed=8)
-        df = ds.to_spark(spark, X)
-        Y = ds.from_spark(df)
-        np.testing.assert_allclose(X, Y)
+        np.testing.assert_array_equal(from_spark(ds.to_spark(spark, X)), X)
 
     def test_schema(self, spark):
         """One block per split: ids int64, pids int32, X float64 (rows, d),
@@ -151,14 +156,11 @@ class TestSparkConversion:
             int(i): int(p) for b in blocks for i, p in zip(b[0], b[1])
         }
         assert got == {i: i % 4 for i in range(60)}
-        carried = pd.DataFrame(
-            {"id": list(got), "pid": list(got.values())}
-        )
-        spark.createDataFrame(carried).createOrReplaceTempView("carried")
-        sql = "SELECT pid AS pid, count(*) AS n FROM {t} GROUP BY pid"
+        carried = pd.Series(np.concatenate([b[1] for b in blocks]))
         assert_equivalent(
-            spark.sql(sql.format(t="carried")), sql.format(t="pts"),
-            pts=pd.DataFrame({"id": np.arange(60), "pid": pids}),
+            carried.value_counts().rename_axis("pid").reset_index(name="n"),
+            "SELECT pid AS pid, count(*) AS n FROM pts GROUP BY pid",
+            pts=points_table(X, pids),
         )
 
     def test_fewer_points_than_splits(self, spark):
@@ -167,4 +169,4 @@ class TestSparkConversion:
         X = ds.higgs_like(1, seed=9)
         blocks = ds.to_spark(spark, X).collect()
         assert sum(len(b[2]) == 0 for b in blocks) == len(blocks) - 1
-        np.testing.assert_array_equal(ds.from_spark(ds.to_spark(spark, X)), X)
+        np.testing.assert_array_equal(from_spark(ds.to_spark(spark, X)), X)

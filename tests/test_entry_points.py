@@ -3,23 +3,27 @@ up front. Unchecked, such input makes the streaming guess and merge rules
 double forever and the searches return degenerate answers.
 
 The MapReduce drivers also reject a degenerate coreset spec (tau < 1,
-eps <= 0) at the driver, with a ``ValueError``, instead of failing inside
-a Spark task."""
+eps <= 0, or both tau and eps) at the driver, with a ``ValueError``,
+instead of failing inside a Spark task; and every entry point rejects a
+bad k, z or eps before it reads its input."""
 import numpy as np
 import pytest
 
 from repro.core.gmm import gmm
 from repro.core.search import charikar
+from repro.mapreduce import kcenter_outliers
 from repro.mapreduce.kcenter import mr_kcenter
 from repro.mapreduce.kcenter_outliers import (
     mr_kcenter_outliers,
     sequential_coreset_outliers,
 )
 from repro.mapreduce.round1 import CoresetSpec
+from repro.streaming import two_pass
 from repro.streaming.base_outliers import base_stream_outliers
 from repro.streaming.base_stream import base_stream_kcenter
 from repro.streaming.coreset_outliers import coreset_stream_outliers
 from repro.streaming.coreset_stream import coreset_stream_kcenter
+from repro.streaming.doubling import DoublingCoreset
 from repro.streaming.two_pass import two_pass_outliers
 
 ENTRY_POINTS = {
@@ -57,7 +61,9 @@ MR_DRIVERS = {
         s, X, 3, 5, 2, **spec
     ),
 }
-DEGENERATE_SPECS = [{"tau": 0}, {"tau": -3}, {"eps": 0.0}, {"eps": -0.5}]
+DEGENERATE_SPECS = [
+    {"tau": 0}, {"tau": -3}, {"eps": 0.0}, {"eps": -0.5}, {"tau": 5, "eps": 0.5}
+]
 
 
 def _spec_id(spec: dict) -> str:
@@ -111,17 +117,47 @@ def test_baselines_reject_k_zero(call):
         call(X)
 
 
+@pytest.fixture
+def no_pass(monkeypatch):
+    """Make every pass over the input fail, so that a test passes only if
+    the entry point rejects its arguments before it reads the input."""
+    def reached(*args, **kwargs):
+        raise AssertionError("the entry point read its input")
+
+    monkeypatch.setattr(DoublingCoreset, "process", reached)
+    monkeypatch.setattr(two_pass, "maximal_coreset", reached)
+    monkeypatch.setattr(kcenter_outliers, "build_coreset", reached)
+
+
 @pytest.mark.parametrize(
     "call",
     [
-        lambda X: coreset_stream_outliers(X, 2, -1),
-        lambda X: two_pass_outliers(X, 2, -1),
-        lambda X: sequential_coreset_outliers(X, 2, -2, tau=10),
+        lambda X, k, z: coreset_stream_outliers(X, k, z),
+        lambda X, k, z: two_pass_outliers(X, k, z),
+        lambda X, k, z: sequential_coreset_outliers(X, k, z, tau=10),
     ],
     ids=["coreset_stream_outliers", "two_pass_outliers",
          "sequential_coreset_outliers"],
 )
-def test_outliers_reject_negative_z(call):
+def test_outliers_reject_negative_z(call, no_pass):
+    """z < 0 (also z <= -k, where k + z is no valid coreset size) and
+    k = 0 are rejected before the pass or the GMM."""
     X = np.random.default_rng(0).uniform(-1, 1, (200, 2))
-    with pytest.raises(ValueError, match="z must be >= 0"):
-        call(X)
+    for k, z, match in [
+        (2, -1, "z must be >= 0"),
+        (2, -5, "z must be >= 0"),
+        (0, 5, "k must be >= 1"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            call(X, k, z)
+
+
+def test_coreset_stream_kcenter_rejects_k_zero(no_pass):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        coreset_stream_kcenter(np.zeros((50, 2)), 0)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.6])
+def test_two_pass_rejects_nonpositive_eps(eps, no_pass):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        two_pass_outliers(np.zeros((50, 2)), 2, 3, eps=eps)

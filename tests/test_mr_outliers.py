@@ -157,6 +157,8 @@ class TestSequentialPath:
         pts, _ = blobs_out
         with pytest.raises(ValueError, match="exactly one"):
             sequential_coreset_outliers(pts, 3, 6)
+        with pytest.raises(ValueError, match="exactly one"):
+            sequential_coreset_outliers(pts, 3, 6, tau=20, eps=0.5)
 
     def test_sequential_quality(self, blobs_out):
         pts, mask = blobs_out
