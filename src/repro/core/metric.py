@@ -16,9 +16,16 @@ from itertools import combinations
 import numpy as np
 
 # Cap on the number of scalar distance entries materialized at once by the
-# chunked helpers (~64 MB of float64). Keeps the driver comfortable even for
-# coreset unions of a few tens of thousands of points.
+# chunked helpers: one ~64 MB float64 ``cdist`` output per chunk (plus its
+# tile-sized temporary). Keeps the driver comfortable even for coreset
+# unions of a few tens of thousands of points.
 _CHUNK_ENTRIES = 8_000_000
+
+# Entries per row tile of ``cdist``'s elementwise epilogue (1 MB of
+# float64): the one temporary it allocates. Large enough that the stream's
+# blocks (128 rows against a coreset of up to ~1000 points) fit one tile,
+# under 2% of the |T|^2 matrix at |T| = 2720.
+_TILE_ENTRIES = 1 << 17
 
 
 def as_points(x) -> np.ndarray:
@@ -59,11 +66,13 @@ def cdist(a, b) -> np.ndarray:
     """Dense Euclidean distance matrix of shape ``(len(a), len(b))``.
 
     Uses the expanded ``(|a|^2 + |b|^2) - 2ab`` form (one GEMM) with clipping
-    to guard the tiny negative values the expansion can produce. The sum,
-    the doubling, the difference, the clip and the square root are done in
-    place, so at most two ``len(a) x len(b)`` buffers are live at once; the
-    operations and their order are those of the plain expression, so the
-    result is bit-for-bit the same.
+    to guard the tiny negative values the expansion can produce. Only one
+    ``len(a) x len(b)`` buffer is allocated: the GEMM's output. The norm
+    sum, the doubling, the difference, the clip and the square root then
+    run in place over it, in row tiles of at most ``_TILE_ENTRIES`` entries
+    with one tile-sized temporary for the norm sum. The operations and
+    their order are those of the plain expression, so the result is
+    bit-for-bit the same. (Row-blocking the GEMM itself would not be.)
 
     ``cdist(T, T)`` is exactly symmetric, bit for bit: ``T`` is converted
     once, the norm sum ``na[i] + na[j]`` is symmetric, and numpy evaluates
@@ -75,12 +84,18 @@ def cdist(a, b) -> np.ndarray:
     same = b is a
     a = as_points(a)
     b = a if same else as_points(b)
-    out = np.add.outer((a * a).sum(axis=1), (b * b).sum(axis=1))
-    ab = a @ b.T
-    ab *= 2.0
-    out -= ab
-    np.clip(out, 0.0, None, out=out)
-    return np.sqrt(out, out=out)
+    na, nb = (a * a).sum(axis=1), (b * b).sum(axis=1)
+    out = a @ b.T
+    step = max(1, _TILE_ENTRIES // max(1, len(b)))
+    tmp = np.empty((min(step, len(a)), len(b)))
+    for lo in range(0, len(a), step):
+        o = out[lo:lo + step]
+        t = np.add.outer(na[lo:lo + step], nb, out=tmp[: len(o)])
+        o *= 2.0
+        np.subtract(t, o, out=o)
+        np.clip(o, 0.0, None, out=o)
+        np.sqrt(o, out=o)
+    return out
 
 
 def min_dist(points, centers) -> tuple[np.ndarray, np.ndarray]:

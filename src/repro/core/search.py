@@ -8,9 +8,12 @@ a geometric search of step (1 + delta)*, delta = eps_hat / (3 + 4*eps_hat),
 and avoids storing all distances via a streaming median-finder [30].
 
 One routine, ``_search``, does both: it probes r = 0, then bisects one
-sorted array of candidate radii. ``min_feasible_radius`` searches the
-geometric grid ``lo_d * (1+delta)**j`` from the min positive pairwise
-distance up to the max, so the O(|T|^2) distances are never sorted.
+sorted array of candidate radii. Unlike the paper it stores the distances,
+as one |T| x |T| float64 matrix ``cdist(T, T)``; each evaluation adds its
+|T| x |T| bool ball matrix, so a search peaks near 9|T|^2 bytes.
+``min_feasible_radius`` searches the geometric grid
+``lo_d * (1+delta)**j`` from the min positive pairwise distance up to the
+max, so the O(|T|^2) distances are never sorted.
 ``min_feasible_radius_exact`` (delta = 0) searches the sorted distinct
 pairwise distances, for modest |T|; with ``eps_hat = 0`` and unit weights
 this is the sequential algorithm of Charikar et al. [16], exposed as
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.metric import as_points, cdist, finite_points
+from repro.core.metric import as_points, cdist, check_kz, finite_points
 from repro.core.outliers_cluster import OutliersClusterResult, outliers_cluster
 
 
@@ -82,12 +85,14 @@ def _search(T, weights, k, z, eps_hat, delta) -> RadiusSearchResult:
 
     The last candidate is at least max(D)/3, so the first center covers T
     (its cover radius is at least 3r) and that probe is always feasible:
-    it runs only if no midpoint was feasible.
+    it runs only if no midpoint was feasible. The arguments are checked
+    before the matrix is built.
     """
-    if z < 0:
-        raise ValueError(f"z must be >= 0, got {z}")
+    check_kz(k, z)
     T = as_points(T)
     w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (len(T),):
+        raise ValueError(f"weights shape {w.shape} != ({len(T)},)")
     D = cdist(T, T)
     trace: list = []
 

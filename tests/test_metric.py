@@ -1,4 +1,6 @@
 """Unit tests for repro.core.metric — distances, radii, brute-force oracles."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,13 +77,13 @@ class TestCdist:
         a = np.full((3, 2), 1e8)
         assert (metric.cdist(a, a) >= 0).all()
 
-    @pytest.mark.parametrize("n", [1, 2, 17, 130])
-    @pytest.mark.parametrize("m", [1, 3, 64, 257])
+    @pytest.mark.parametrize("n", [1, 2, 17, 130, 300, 1000])
+    @pytest.mark.parametrize("m", [1, 3, 64, 257, 1000])
     @pytest.mark.parametrize("dim", [1, 7, 50])
     def test_bitwise_equal_to_expanded_expression(self, n, m, dim):
         """The in-place evaluation is the plain expanded expression,
         bit for bit (including clipped near-duplicates), and leaves its
-        inputs alone."""
+        inputs alone. The larger shapes span many epilogue tiles."""
         g = np.random.default_rng([n, m, dim])
         a = g.normal(size=(n, dim)) * 10.0 ** g.integers(-3, 4)
         b = g.normal(size=(m, dim)) * 10.0 ** g.integers(-3, 4)
@@ -95,6 +97,39 @@ class TestCdist:
         assert got.shape == (n, m)
         assert np.array_equal(got, expected)
         assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+    @pytest.mark.parametrize("n", [1, 17, 300, 1000])
+    @pytest.mark.parametrize("dim", [1, 7, 50])
+    def test_self_bitwise_equal_to_expanded_expression(self, n, dim):
+        """``cdist(a, a)`` is the plain expression built on ``a @ a.T``,
+        bit for bit, across tiles, and leaves ``a`` alone."""
+        g = np.random.default_rng([n, dim, 1])
+        a = g.normal(size=(n, dim)) * 10.0 ** g.integers(-3, 4)
+        a[: n // 3] = a[n // 3: 2 * (n // 3)]  # coincident rows
+        a0 = a.copy()
+        sa = (a * a).sum(axis=1)
+        expected = np.sqrt(
+            np.clip((sa[:, None] + sa[None, :]) - 2.0 * (a @ a.T), 0, None)
+        )
+        got = metric.cdist(a, a)
+        assert got.shape == (n, n)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(a, a0)
+
+    def test_peak_memory_one_matrix(self):
+        """``cdist(T, T)`` allocates one n x n float64 matrix; the epilogue
+        adds only a tile-sized temporary (1 MB), and the norms a few KB
+        (tracemalloc sees numpy's buffers)."""
+        n = 2000
+        T = np.random.default_rng(0).normal(size=(n, 7))
+        tracemalloc.start()
+        try:
+            D = metric.cdist(T, T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert D.shape == (n, n)
+        assert peak <= 8 * n * n + 2 * 2**20
 
     def test_triangle_inequality(self):
         g = np.random.default_rng(2)

@@ -1,10 +1,13 @@
 """Tests for repro.core.search — the minimum-feasible-radius searches and
 the CHARIKARETAL baseline."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import search as search_module
 from repro.core.gmm import gmm_coreset_fixed
 from repro.core.metric import (
     brute_force_kcenter_outliers,
@@ -170,3 +173,44 @@ class TestTrace:
         )
         # two centers cover their own points; the other n - 2 are within z
         assert res.trace == ((0.0, len(three_blobs) - 2.0, 2),)
+
+
+class TestArgumentsBeforeMatrix:
+    """A bad k, z or weights array is rejected before the |T|^2 matrix is
+    built."""
+
+    @pytest.mark.parametrize("call", [
+        lambda X: charikar(X, 0, 5),
+        lambda X: charikar(X, 3, -1),
+        lambda X: min_feasible_radius(X, np.ones(len(X) - 1), 3, 5, 0.1),
+    ], ids=["k0", "z-1", "weights-length"])
+    def test_no_cdist_call(self, call, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append(len(a))
+            return cdist(a, b)
+
+        monkeypatch.setattr(search_module, "cdist", counting)
+        pts = np.random.default_rng(0).normal(size=(300, 3))
+        with pytest.raises(ValueError):
+            call(pts)
+        assert calls == []
+
+
+class TestSearchMemory:
+    def test_peak_memory_matrix_plus_ball_matrix(self):
+        """A search holds one n x n float64 matrix; each evaluation adds
+        its n x n bool ball matrix and block-sized temporaries."""
+        n = 2000
+        g = np.random.default_rng(1)
+        T = g.normal(size=(n, 3))
+        w = g.integers(1, 4, n).astype(np.float64)
+        tracemalloc.start()
+        try:
+            res = min_feasible_radius(T, w, 5, 20, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.evaluations > 2
+        assert peak <= 9 * n * n + 2 * 2**20
