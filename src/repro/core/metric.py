@@ -2,9 +2,11 @@
 
 All algorithms in the paper touch the input only through pairwise Euclidean
 distances, so this module is the single place where geometry happens:
-chunked distance computation, nearest-center assignment, clustering radii
-with and without outliers, the closest-pair gap, and tiny brute-force
-solvers used as exact oracles in tests.
+the distance matrix (``cdist``), the nearest-center kernel every block scan
+and ``min_dist`` use (``nearest``: ``cdist``'s row minima and first argmins
+without a square root per entry), clustering radii with and without
+outliers, the closest-pair gap, and tiny brute-force solvers used as exact
+oracles in tests.
 
 Points are ``float64`` numpy arrays of shape ``(n, d)``; centers are either
 index arrays into a point set or ``(m, d)`` coordinate arrays.
@@ -15,16 +17,18 @@ from itertools import combinations
 
 import numpy as np
 
-# Cap on the number of scalar distance entries materialized at once by the
-# chunked helpers: one ~64 MB float64 ``cdist`` output per chunk (plus its
+# Cap on the number of scalar distance entries materialized at once by
+# ``min_dist``: one ~64 MB float64 ``nearest`` buffer per chunk (plus its
 # tile-sized temporary). Keeps the driver comfortable even for coreset
 # unions of a few tens of thousands of points.
 _CHUNK_ENTRIES = 8_000_000
 
-# Entries per row tile of ``cdist``'s elementwise epilogue (1 MB of
-# float64): the one temporary it allocates. Large enough that the stream's
-# blocks (128 rows against a coreset of up to ~1000 points) fit one tile,
-# under 2% of the |T|^2 matrix at |T| = 2720.
+# Entries per row tile of the elementwise epilogue ``cdist`` and
+# ``nearest`` share (``_expanded``; 1 MB of float64): the one temporary it
+# allocates. Large enough that the stream's blocks (128 rows against a
+# coreset of up to ~1000 points) fit one tile, under 2% of the |T|^2
+# matrix at |T| = 2720. The tiles split no GEMM, so their size changes no
+# bit of either result.
 _TILE_ENTRIES = 1 << 17
 
 
@@ -62,17 +66,47 @@ def check_kz(k: int, z: int = 0) -> None:
         raise ValueError(f"z must be >= 0, got {z}")
 
 
+def sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of ``a``. A row's norm does not
+    depend on the other rows, bit for bit, so a slice of the norms of a
+    stream equals the norms of the slice: callers may cache them."""
+    return (a * a).sum(axis=1)
+
+
+def _expanded(a, b, na, nb) -> np.ndarray:
+    """The squared distances ``(na + nb) - 2ab`` from the rows of ``a`` to
+    those of ``b`` (``na``, ``nb``: their ``sq_norms``), unclipped. The
+    GEMM ``a @ b.T`` is the one ``len(a) x len(b)`` buffer; the rest runs
+    in place over it, in row tiles of at most ``_TILE_ENTRIES`` entries
+    with one tile-sized temporary for the norm sum. ``cdist`` and
+    ``nearest`` both call this, so their squared distances are the same
+    bits."""
+    out = a @ b.T
+    step = max(1, _TILE_ENTRIES // max(1, len(b)))
+    tmp = np.empty((min(step, len(a)), len(b)))
+    for lo in range(0, len(a), step):
+        o = out[lo:lo + step]
+        # na[i] + nb[j], as np.add.outer computes it, but from a column
+        # fill and a row add: numpy's outer broadcast is ~2x slower.
+        t = tmp[: len(o)]
+        t[...] = na[lo:lo + step, None]
+        t += nb
+        o *= 2.0
+        np.subtract(t, o, out=o)
+    return out
+
+
 def cdist(a, b) -> np.ndarray:
     """Dense Euclidean distance matrix of shape ``(len(a), len(b))``.
 
     Uses the expanded ``(|a|^2 + |b|^2) - 2ab`` form (one GEMM) with clipping
     to guard the tiny negative values the expansion can produce. Only one
     ``len(a) x len(b)`` buffer is allocated: the GEMM's output. The norm
-    sum, the doubling, the difference, the clip and the square root then
-    run in place over it, in row tiles of at most ``_TILE_ENTRIES`` entries
-    with one tile-sized temporary for the norm sum. The operations and
-    their order are those of the plain expression, so the result is
-    bit-for-bit the same. (Row-blocking the GEMM itself would not be.)
+    sum, the doubling and the difference run in place over it, tile by
+    tile (``_expanded``), then the clip and the square root. The
+    operations and their order are those of the plain expression, so the
+    result is bit-for-bit the same. (Row-blocking the GEMM itself would
+    not be.)
 
     ``cdist(T, T)`` is exactly symmetric, bit for bit: ``T`` is converted
     once, the norm sum ``na[i] + na[j]`` is symmetric, and numpy evaluates
@@ -84,22 +118,67 @@ def cdist(a, b) -> np.ndarray:
     same = b is a
     a = as_points(a)
     b = a if same else as_points(b)
-    na, nb = (a * a).sum(axis=1), (b * b).sum(axis=1)
-    out = a @ b.T
-    step = max(1, _TILE_ENTRIES // max(1, len(b)))
-    tmp = np.empty((min(step, len(a)), len(b)))
-    for lo in range(0, len(a), step):
-        o = out[lo:lo + step]
-        t = np.add.outer(na[lo:lo + step], nb, out=tmp[: len(o)])
-        o *= 2.0
-        np.subtract(t, o, out=o)
-        np.clip(o, 0.0, None, out=o)
-        np.sqrt(o, out=o)
-    return out
+    na = sq_norms(a)
+    out = _expanded(a, b, na, na if same else sq_norms(b))
+    np.clip(out, 0.0, None, out=out)
+    return np.sqrt(out, out=out)
+
+
+def nearest(a, b, na=None, nb=None, /) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from each row of ``a`` to its nearest row of ``b``, and
+    the index of that row: ``cdist(a, b).min(axis=1)`` and
+    ``cdist(a, b).argmin(axis=1)``, bit for bit, with the same GEMM.
+
+    The clip and the square root run per row, not per entry: both are
+    monotone, so the row minimum of the distances is the root of the row
+    minimum of the squared distances. Their first minima can differ,
+    though, where two squared distances have one root (``_root_ties``).
+    ``na`` and ``nb`` (positional only) are cached ``sq_norms`` of ``a``
+    and ``b``, as the doubling coreset keeps them; they must be those bits.
+    """
+    a, b = as_points(a), as_points(b)
+    na = sq_norms(a) if na is None else na
+    nb = sq_norms(b) if nb is None else nb
+    return _row_min_root(_expanded(a, b, na, nb))
+
+
+def _row_min_root(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(dist, idx)``: the row minima of the distances
+    ``sqrt(clip(y, 0))`` for squared distances ``y``, and their first
+    indices, with a clip and a square root per row rather than per entry.
+    ``y`` keeps its values: one entry per row is set to inf only while the
+    second smallest is read."""
+    rows = np.arange(len(y))
+    idx = y.argmin(axis=1)
+    low = y[rows, idx]
+    s = np.sqrt(np.clip(low, 0.0, None))
+    # sqrt is correctly rounded, so an entry v with sqrt(clip(v)) == s has
+    # v <= fl(nextafter(s, inf)^2). Only a row whose second smallest entry
+    # passes that bound can hold one before idx.
+    bound = np.nextafter(s, np.inf) ** 2
+    y[rows, idx] = np.inf
+    second = y.min(axis=1)
+    y[rows, idx] = low
+    near = np.flatnonzero(second <= bound)
+    if len(near):
+        _root_ties(y, s, idx, near)
+    return np.sqrt(np.clip(y[rows, idx], 0.0, None)), idx
+
+
+def _root_ties(y, s, idx, near) -> None:
+    """Move ``idx[r]``, for the rows r of ``near``, to the first entry whose
+    distance ``sqrt(clip(y))`` is the row minimum ``s[r]``: at or before
+    ``idx[r]``, e.g. ``y = [nextafter(4, inf), 4]`` gives distances
+    ``[2, 2]`` and index 0."""
+    root = y[near]
+    np.clip(root, 0.0, None, out=root)
+    np.sqrt(root, out=root)
+    idx[near] = (root == s[near, None]).argmax(axis=1)
 
 
 def min_dist(points, centers) -> tuple[np.ndarray, np.ndarray]:
-    """Distance from each point to its closest center, plus the argmin.
+    """Distance from each point to its closest center, plus the argmin
+    (the first closest), through ``nearest``.
 
     Chunked over points so that ``len(points) * len(centers)`` never
     materializes more than ``_CHUNK_ENTRIES`` scalars at once.
@@ -111,12 +190,11 @@ def min_dist(points, centers) -> tuple[np.ndarray, np.ndarray]:
     n, m = len(points), len(centers)
     dist = np.empty(n, dtype=np.float64)
     assign = np.empty(n, dtype=np.int64)
+    nc = sq_norms(centers)
     step = max(1, _CHUNK_ENTRIES // max(1, m))
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        d = cdist(points[lo:hi], centers)
-        assign[lo:hi] = d.argmin(axis=1)
-        dist[lo:hi] = d[np.arange(hi - lo), assign[lo:hi]]
+        dist[lo:hi], assign[lo:hi] = nearest(points[lo:hi], centers, None, nc)
     return dist, assign
 
 

@@ -15,16 +15,21 @@ Since the same T is probed at many radii during the minimum-radius search,
 the O(|T|^2) distance matrix can be computed once and passed in.
 
 Cost per evaluation: one compare pass over the |T|^2 distance matrix to
-build the boolean ball-membership matrix, one gains pass over it, and the
-rows of the points each pick covers. The ball weights ("gains") of all
-candidates are computed once; after each pick the weight of the newly
-covered points is subtracted from the gains of the balls that contain
-them. Ball membership is symmetric (``dist_matrix`` must be ``cdist(T, T)``,
+build the boolean ball-membership matrix, one gains pass over it, and per
+pick the rows of the points it covers or of those it leaves, whichever
+are fewer. The ball weights ("gains") of all candidates are computed once.
+Ball membership is symmetric (``dist_matrix`` must be ``cdist(T, T)``,
 which is exactly symmetric, see ``repro.core.metric.cdist``), so the balls
-containing a newly covered point y are the entries of row y, and the
-update reads contiguous rows, ``gains -= w[rows] @ in_ball[rows]``, rather
-than strided columns. Over the k picks every row is subtracted at most
-once, so the updates add up to at most one more pass. Both products run in
+containing a point y are the entries of row y, and the weight of a set of
+points Y inside every ball is ``w[Y] @ in_ball[Y]``, read by contiguous
+rows rather than strided columns. After a pick, that weight of the newly
+covered points is subtracted from the gains, or, when the pick covers more
+points than it leaves uncovered, the gains are recomputed as that weight
+of the uncovered points. A pick reads at most the rows it newly covers,
+and each row is newly covered once, so the updates add up to at most one
+more pass; a first pick that covers most of T reads only the rows it
+leaves. No update follows the k-th pick: nothing reads those gains. The
+products run in
 blocks of ``_BLOCK_ENTRIES`` so no |T|^2-sized float temporary is
 allocated.
 
@@ -53,6 +58,17 @@ _BLOCK_ENTRIES = 1 << 18
 
 # Largest total weight whose integer partial sums float32 holds exactly.
 _FLOAT32_EXACT = 1 << 24
+
+
+def _ball_weight(wv, in_ball, rows, step) -> np.ndarray:
+    """``wv[rows] @ in_ball[rows]``: the weight of the points ``rows``
+    inside every ball (row y of the symmetric ``in_ball`` marks the balls
+    that contain y), summed over blocks of ``step`` rows."""
+    total = np.zeros(in_ball.shape[1], dtype=wv.dtype)
+    for lo in range(0, len(rows), step):
+        r = rows[lo:lo + step]
+        total += wv[r] @ in_ball[r]
+    return total
 
 
 def _gains_dtype(w: np.ndarray) -> type:
@@ -128,10 +144,13 @@ def outliers_cluster(
         keep = D[x] > cover_r
         newly = np.flatnonzero(uncovered & ~keep)
         uncovered &= keep
-        # Row y of the symmetric in_ball marks the balls that contain y.
-        for lo in range(0, len(newly), step):
-            rows = newly[lo:lo + step]
-            gains -= wv[rows] @ in_ball[rows]
+        rest = np.flatnonzero(uncovered)
+        if len(centers) == k or not len(rest):
+            break
+        if len(newly) <= len(rest):
+            gains -= _ball_weight(wv, in_ball, newly, step)
+        else:
+            gains = _ball_weight(wv, in_ball, rest, step)
     return OutliersClusterResult(
         centers_idx=np.asarray(centers, dtype=np.int64),
         uncovered=uncovered,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.metric import cdist, finite_points
+from repro.core.metric import cdist, finite_points, nearest
 from repro.core.search import charikar
 from repro.streaming import common
 from repro.streaming.common import StreamResult, first_far, guess_ladder_stream
@@ -47,14 +47,15 @@ class _OutlierInstance:
 
     def process(self, points: np.ndarray) -> None:
         """Read ``points`` in order. A point within 4r of a center is
-        covered and dropped, a block at a time (``first_far``); any other
-        point is stored as free and consolidated on its own."""
+        covered and dropped, a block at a time (``nearest``, then
+        ``first_far``); any other point is stored as free and consolidated
+        on its own."""
         i, n = 0, len(points)
         while i < n:
             if self.centers:
                 block = points[i : i + common.BLOCK_ROWS]
-                D = cdist(block, np.asarray(self.centers))
-                f, _ = first_far(D, 4.0 * self.r)
+                dist, _ = nearest(block, np.asarray(self.centers))
+                f = first_far(dist, 4.0 * self.r)
                 i += f
                 if f == len(block):
                     continue
@@ -75,8 +76,8 @@ class _OutlierInstance:
             self.centers, self.free = [], []
             for q in stored:
                 if self.centers:
-                    d = cdist(q[None, :], np.asarray(self.centers))[0]
-                    if float(d.min()) <= 4.0 * self.r:
+                    d, _ = nearest(q, np.asarray(self.centers))
+                    if d[0] <= 4.0 * self.r:
                         continue
                 self.free.append(q)
                 self._promote_dense()

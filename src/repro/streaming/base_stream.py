@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.metric import cdist, finite_points
+from repro.core.metric import cdist, finite_points, nearest
 from repro.streaming import common
 from repro.streaming.common import StreamResult, first_far, guess_ladder_stream
 
@@ -38,13 +38,14 @@ class _Instance:
         """Read ``points`` in order. A point within 2r of a center is
         covered; any other point opens a center, and while there are more
         than k the guess doubles and the centers are re-clustered. Covered
-        points are found a block at a time (``first_far``)."""
+        points are found a block at a time (``nearest``, then
+        ``first_far``)."""
         i, n = 0, len(points)
         while i < n:
             if self.centers:
                 block = points[i : i + common.BLOCK_ROWS]
-                D = cdist(block, np.asarray(self.centers))
-                f, _ = first_far(D, 2.0 * self.r)
+                dist, _ = nearest(block, np.asarray(self.centers))
+                f = first_far(dist, 2.0 * self.r)
                 i += f
                 if f == len(block):
                     continue

@@ -13,32 +13,22 @@ import numpy as np
 
 from repro.core.metric import cdist, check_kz, min_gap
 
-# Stream rows whose distances to the current centers one scan step computes
-# in a single ``cdist`` call (see ``first_far``). A larger block wastes more
-# rows after a point that changes the centers; on the benchmark's stream
-# (d=7, tau=880, a 4-vCPU Xeon) 64-128 rows were fastest.
+# Stream rows whose nearest centers one scan step finds in a single
+# ``metric.nearest`` call. A larger block wastes more rows after a point
+# that changes the centers; on the benchmark's stream (d=7, tau=880, a
+# 4-vCPU Xeon) 64-128 rows were fastest.
 BLOCK_ROWS = 128
 
 
-def first_far(D: np.ndarray, thresh: float) -> tuple[int, np.ndarray]:
-    """One step of the streaming block scan, on the distances ``D`` from a
-    block of stream points (rows) to the current centers (columns).
-
-    Returns ``(f, nearest)``: ``f`` is the first row whose nearest center
-    is farther than ``thresh`` (``len(D)`` if there is none), and
-    ``nearest`` holds, for the rows before ``f``, the index of their nearest
-    center (the first minimum, as ``argmin``). Those rows take the update
-    rule against unchanged centers; row ``f`` changes the centers, so the
-    caller handles it alone and restarts the scan after it.
-
-    Callers compute ``D`` themselves, one ``cdist`` call per block, through
-    their own module's ``cdist``: the benchmark's tracer (``perfbench``)
-    counts the doubling coreset's calls there.
-    """
-    nearest = D.argmin(axis=1)
-    far = np.flatnonzero(D[np.arange(len(D)), nearest] > thresh)
-    f = int(far[0]) if len(far) else len(D)
-    return f, nearest[:f]
+def first_far(dist: np.ndarray, thresh: float) -> int:
+    """One step of the streaming block scan: the first row of a block whose
+    nearest-center distance ``dist`` (from ``metric.nearest``) exceeds
+    ``thresh``, or ``len(dist)`` if there is none. The rows before it take
+    the update rule against unchanged centers; that row changes the
+    centers, so the caller handles it alone and restarts the scan after
+    it."""
+    far = np.flatnonzero(dist > thresh)
+    return int(far[0]) if len(far) else len(dist)
 
 
 def greedy_cover(D: np.ndarray, thresh: float) -> np.ndarray:

@@ -17,15 +17,16 @@ weight (*update rule*), a farther point becomes a new center, and whenever
 closer than 4*phi until invariant (a) holds again.
 
 The update rule leaves T unchanged, so the stream is scanned a block of
-rows at a time (``common.first_far``): one ``cdist`` from the block to T,
-one ``bincount`` for the rows before the first one farther than 8*phi,
-then that row alone and a restart after it.
+rows at a time: one ``nearest`` from the block to T, one ``bincount`` for
+the rows before the first one farther than 8*phi (``common.first_far``),
+then that row alone and a restart after it. T's squared norms are kept
+next to its points, so a block's kernel call computes no norm.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.metric import as_points, cdist, min_gap
+from repro.core.metric import as_points, cdist, min_gap, nearest, sq_norms
 from repro.streaming import common
 from repro.streaming.common import first_far, greedy_cover
 
@@ -48,6 +49,7 @@ class DoublingCoreset:
         # Preallocated storage for tau+1 centers (the transient overshoot).
         self._pts = np.empty((tau + 1, dim), dtype=np.float64)
         self._w = np.zeros(tau + 1, dtype=np.int64)
+        self._sq = np.empty(tau + 1)  # sq_norms of the centers
         self._m = 0  # current |T|
         self.phi = 0.0
         self.n_processed = 0
@@ -74,6 +76,7 @@ class DoublingCoreset:
     def _append(self, p: np.ndarray, w: int) -> None:
         self._pts[self._m] = p
         self._w[self._m] = w
+        self._sq[self._m] = sq_norms(self._pts[self._m : self._m + 1])[0]
         self._m += 1
         self.peak_size = max(self.peak_size, self._m)
 
@@ -117,6 +120,7 @@ class DoublingCoreset:
         w = np.bincount(owner, weights=self._w[:m], minlength=m)
         self._pts[: len(keep)] = self._pts[keep]
         self._w[: len(keep)] = w[keep]
+        self._sq[: len(keep)] = self._sq[keep]
         self._m = len(keep)
 
     def _seed(self) -> None:
@@ -138,8 +142,9 @@ class DoublingCoreset:
         """Process ``points``, one row per stream point, in order.
 
         The first tau+1 points fill the buffer by slice and seed T. After
-        that, each step computes the distances from the next
-        ``common.BLOCK_ROWS`` rows to T in one ``cdist`` call. The rows
+        that, each step finds the nearest center of the next
+        ``common.BLOCK_ROWS`` rows in one ``nearest`` call, with the rows'
+        squared norms computed once per call and T's cached. The rows
         before the first one farther than 8*phi take the update rule
         together (one ``bincount``). That row becomes a center, the merge
         rule runs if |T| > tau, and the scan restarts after it against the
@@ -149,20 +154,24 @@ class DoublingCoreset:
         if P.shape[1] != self.dim:
             raise ValueError(f"point dim {P.shape[1]} != {self.dim}")
         n, i = len(P), 0
+        norms = sq_norms(P)
         if not self._initialized:
             i = min(n, self.tau + 1 - self._m)
             self._pts[self._m : self._m + i] = P[:i]
             self._w[self._m : self._m + i] = 1
+            self._sq[self._m : self._m + i] = norms[:i]
             self._m += i
             self.n_processed += i
             self.peak_size = max(self.peak_size, self._m)
             if self._m == self.tau + 1:
                 self._seed()
         while i < n:
-            block = P[i : i + common.BLOCK_ROWS]
-            m = self._m
-            f, nearest = first_far(cdist(block, self._pts[:m]), 8.0 * self.phi)
-            self._w[:m] += np.bincount(nearest, minlength=m)
+            hi, m = i + common.BLOCK_ROWS, self._m
+            block = P[i:hi]
+            dist, idx = nearest(block, self._pts[:m], norms[i:hi],
+                                self._sq[:m])
+            f = first_far(dist, 8.0 * self.phi)
+            self._w[:m] += np.bincount(idx[:f], minlength=m)
             self.n_processed += f
             i += f
             if f == len(block):

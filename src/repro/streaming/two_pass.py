@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from repro.core.metric import cdist, check_kz, finite_points
+from repro.core.metric import check_kz, finite_points, nearest
 from repro.core.search import min_feasible_radius
 from repro.streaming import common
 from repro.streaming.common import StreamResult, first_far
@@ -32,8 +32,8 @@ def maximal_coreset(
 
     Returns ``(T, w)``, T's points pairwise > ``thresh`` apart and w their
     proxy counts (float64, for the search). The scan runs a block of rows
-    at a time (``first_far``) over arrays that double in capacity when T
-    fills them.
+    at a time (``nearest``, then ``first_far``) over arrays that double in
+    capacity when T fills them.
     """
     n = len(points)
     T = np.empty((min(n, common.BLOCK_ROWS), points.shape[1]))
@@ -42,8 +42,9 @@ def maximal_coreset(
     while i < n:
         if m:
             block = points[i : i + common.BLOCK_ROWS]
-            f, nearest = first_far(cdist(block, T[:m]), thresh)
-            w[:m] += np.bincount(nearest, minlength=m)
+            dist, idx = nearest(block, T[:m])
+            f = first_far(dist, thresh)
+            w[:m] += np.bincount(idx[:f], minlength=m)
             i += f
             if f == len(block):
                 continue

@@ -65,3 +65,21 @@ def grid_stream(seed: int, n: int, dim: int) -> np.ndarray:
         if i:
             pts[i] = pts[g.integers(0, i)]
     return pts
+
+
+def float_stream(seed: int, n: int, dim: int) -> np.ndarray:
+    """A float stream whose spread grows 64x along the stream, offset up to
+    1e3 from the origin, with about half of its rows repeating an earlier
+    row, a fifth of those moved by ~1e-12 relative. The expanded distance
+    form leaves rounding noise, often negative, on the squared distance of
+    a row to its copy or near-copy, so distinct squared distances can
+    share one clipped root."""
+    g = np.random.default_rng([seed, 3])
+    scale = 2.0 ** (6.0 * np.arange(n) / n) * g.uniform(0.01, 10)
+    pts = g.normal(size=(n, dim)) * scale[:, None] + g.uniform(-1e3, 1e3, dim)
+    for i in np.flatnonzero(g.random(n) < 0.5):
+        if i:
+            pts[i] = pts[g.integers(0, i)]
+            if g.random() < 0.2:
+                pts[i] *= 1.0 + 1e-12 * g.normal(size=dim)
+    return pts

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.metric import brute_force_kcenter, cdist, min_dist
+from repro.core import metric
+from repro.core.metric import as_points, brute_force_kcenter, cdist, min_dist
 from repro.streaming import common
 from repro.streaming.doubling import DoublingCoreset
-from tests.conftest import grid_stream, planted_clusters
+from tests.conftest import float_stream, grid_stream, planted_clusters
 
 
 def check_invariants(dc: DoublingCoreset, seen: np.ndarray) -> None:
@@ -273,6 +274,78 @@ class TestBlockScan:
         with pytest.raises(ValueError):
             dc.process(np.zeros((4, 3)))
         assert dc.n_processed == 0
+
+
+def cdist_first_far(D, thresh):
+    """The block-scan step before ``metric.nearest``: the first row of
+    ``D = cdist(block, T)`` whose row minimum exceeds ``thresh``, and the
+    row argmins before it."""
+    nearest = D.argmin(axis=1)
+    far = np.flatnonzero(D[np.arange(len(D)), nearest] > thresh)
+    f = int(far[0]) if len(far) else len(D)
+    return f, nearest[:f]
+
+
+class CdistScan(DoublingCoreset):
+    """The block scan before ``metric.nearest`` and the cached norms: one
+    ``cdist`` from each block to T, kept as the reference."""
+
+    def process(self, points):
+        P = as_points(points)
+        n, i = len(P), 0
+        if not self._initialized:
+            i = min(n, self.tau + 1 - self._m)
+            self._pts[self._m : self._m + i] = P[:i]
+            self._w[self._m : self._m + i] = 1
+            self._m += i
+            self.n_processed += i
+            self.peak_size = max(self.peak_size, self._m)
+            if self._m == self.tau + 1:
+                self._seed()
+        while i < n:
+            block = P[i : i + common.BLOCK_ROWS]
+            m = self._m
+            f, nearest = cdist_first_far(
+                cdist(block, self._pts[:m]), 8.0 * self.phi
+            )
+            self._w[:m] += np.bincount(nearest, minlength=m)
+            self.n_processed += f
+            i += f
+            if f == len(block):
+                continue
+            self._append(block[f], 1)
+            self.n_processed += 1
+            i += 1
+            if self._m > self.tau:
+                self._merge_rule()
+        return self
+
+
+class TestNearestScan:
+    def test_equals_cdist_scan(self, monkeypatch):
+        """On 24 float streams with repeated rows (noisy near-zero squared
+        distances) the scan through ``nearest`` with cached norms reaches
+        the same points, weights, phi and counts as the ``cdist`` scan, as
+        bytes, in one call and in chunks of 50 rows. Some blocks take the
+        kernel's square-root tie branch."""
+        calls = []
+        ties = metric._root_ties
+        monkeypatch.setattr(metric, "_root_ties",
+                            lambda *a: calls.append(1) or ties(*a))
+        for seed in range(24):
+            g = np.random.default_rng([seed, 8])
+            d = int(g.integers(1, 8))
+            pts = float_stream(seed, 600, d)
+            tau = int(g.integers(2, 40))
+            for chunk in (len(pts), 50):
+                ref, got = CdistScan(tau, d), DoublingCoreset(tau, d)
+                for i in range(0, len(pts), chunk):
+                    ref.process(pts[i : i + chunk])
+                    got.process(pts[i : i + chunk])
+                assert got.points.tobytes() == ref.points.tobytes(), seed
+                assert got.weights.tobytes() == ref.weights.tobytes(), seed
+                assert state(got) == state(ref), seed
+        assert calls
 
 
 class TestDoublings:

@@ -141,6 +141,111 @@ class TestCdist:
                     assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
 
 
+def _cdist_nearest(a, b):
+    """What ``nearest`` must return, bit for bit: the first minimum of
+    each row of ``cdist``."""
+    D = metric.cdist(a, b)
+    return D.min(axis=1), D.argmin(axis=1)
+
+
+def _nearest_cases(seed):
+    """(points, centers) of one kind per seed: Gaussian, integer grid,
+    duplicated centers with points equal to centers, or 1e6 offsets."""
+    g = np.random.default_rng([seed, 11])
+    n, m = int(g.integers(1, 200)), int(g.integers(1, 300))
+    d = int(g.integers(1, 9))
+    kind = seed % 4
+    if kind == 1:
+        return (g.integers(-3, 4, (n, d)).astype(float),
+                g.integers(-3, 4, (m, d)).astype(float))
+    b = g.normal(size=(m, d)) * 10.0 ** g.integers(-3, 4)
+    if kind == 3:
+        b += g.uniform(-1e6, 1e6, d)
+    b[g.integers(0, m, m // 3)] = b[g.integers(0, m, m // 3)]
+    a = b[0] + g.normal(size=(n, d)) * 10.0 ** g.integers(-3, 4)
+    if kind >= 2:
+        a[: n // 2] = b[g.integers(0, m, n // 2)]
+    return a, b
+
+
+class TestNearest:
+    """``nearest`` equals the first minimum of ``cdist``'s rows, as bytes,
+    though it takes one square root per row instead of one per entry."""
+
+    @pytest.mark.parametrize("n", [1, 2, 128, 1000])
+    @pytest.mark.parametrize("m", [1, 3, 880, 1000])
+    @pytest.mark.parametrize("dim", [1, 7, 50])
+    def test_shapes(self, n, m, dim):
+        """One row, one center, and shapes spanning up to 8 tiles."""
+        g = np.random.default_rng([n, m, dim])
+        a = g.normal(size=(n, dim)) * 10.0 ** g.integers(-3, 4)
+        b = g.normal(size=(m, dim)) * 10.0 ** g.integers(-3, 4)
+        b[: min(n, m) // 2] = a[: min(n, m) // 2]
+        dist, idx = metric.nearest(a, b)
+        ref_d, ref_i = _cdist_nearest(a, b)
+        assert dist.tobytes() == ref_d.tobytes()
+        assert idx.tobytes() == ref_i.tobytes()
+
+    def test_tie_heavy_inputs(self, monkeypatch):
+        """Integer grids, duplicated centers, points equal to centers and
+        1e6 offsets; cached norms give the same bytes as computed ones.
+        Some rows reach the square-root tie branch."""
+        calls = []
+        ties = metric._root_ties
+        monkeypatch.setattr(metric, "_root_ties",
+                            lambda *a: calls.append(1) or ties(*a))
+        for seed in range(400):
+            a, b = _nearest_cases(seed)
+            ref_d, ref_i = _cdist_nearest(a, b)
+            for got in (metric.nearest(a, b),
+                        metric.nearest(a, b, metric.sq_norms(a),
+                                       metric.sq_norms(b))):
+                assert got[0].tobytes() == ref_d.tobytes(), seed
+                assert got[1].tobytes() == ref_i.tobytes(), seed
+        assert calls
+
+    @pytest.mark.parametrize("y, moves", [
+        ([np.nextafter(4.0, np.inf), 4.0], True),
+        ([-1e-20, -5e-20], True),
+        ([9.0, np.nextafter(4.0, np.inf), 7.0, 4.0], True),
+        ([0.0, -3e-18, 1.0], True),
+        # 4 + 2 ulp passes the bound but its root is nextafter(2, inf).
+        ([4.0 + 2 * np.spacing(4.0), 4.0], False),
+    ])
+    def test_root_tie_rows(self, y, moves, monkeypatch):
+        """Hand-built squared distances with an entry before their first
+        minimum that passes the ``nextafter`` bound. The tie branch runs;
+        it moves the index where that entry has the same root
+        ``sqrt(clip(y))`` as the minimum, and only there."""
+        calls = []
+        ties = metric._root_ties
+        monkeypatch.setattr(metric, "_root_ties",
+                            lambda *a: calls.append(1) or ties(*a))
+        y = np.array([y])
+        root = np.sqrt(np.clip(y, 0.0, None))
+        assert (y.argmin(axis=1) != root.argmin(axis=1)) == moves
+        work = y.copy()
+        dist, idx = metric._row_min_root(work)
+        assert dist.tobytes() == root.min(axis=1).tobytes()
+        assert idx.tobytes() == root.argmin(axis=1).tobytes()
+        assert calls
+        assert work.tobytes() == y.tobytes()  # the inf entries restored
+
+    @pytest.mark.parametrize("dim", [1, 7, 50])
+    def test_block_norms_are_slices_of_stream_norms(self, dim):
+        """A row's squared norm does not depend on the other rows: a
+        block's norms, and a single row's, equal the matching slice of the
+        whole stream's, as bytes. The doubling coreset caches them."""
+        g = np.random.default_rng(dim)
+        P = g.normal(size=(1000, dim)) * 10.0 ** g.integers(-3, 7, (1000, 1))
+        P += g.uniform(-1e6, 1e6, dim)
+        full = metric.sq_norms(P)
+        for lo in (0, 1, 128, 500, 999):
+            for hi in (lo + 1, lo + 3, lo + 128):
+                assert (metric.sq_norms(P[lo:hi]).tobytes()
+                        == full[lo:hi].tobytes())
+
+
 class TestMinDist:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_full_matrix(self, seed):
@@ -159,6 +264,24 @@ class TestMinDist:
         full = naive_cdist(pts, ctr)
         np.testing.assert_allclose(d, full.min(axis=1), atol=1e-9)
         np.testing.assert_array_equal(a, full.argmin(axis=1))
+
+    @pytest.mark.parametrize("chunk", [None, 10, 1000])
+    def test_equals_cdist_chunks(self, chunk, monkeypatch):
+        """``min_dist`` equals the scan it replaced, ``cdist`` per chunk
+        of points then the first minimum, as bytes."""
+        if chunk is not None:
+            monkeypatch.setattr(metric, "_CHUNK_ENTRIES", chunk)
+        for seed in range(40):
+            pts, ctr = _nearest_cases(seed)
+            dist, assign = np.empty(len(pts)), np.empty(len(pts), np.int64)
+            step = max(1, metric._CHUNK_ENTRIES // len(ctr))
+            for lo in range(0, len(pts), step):
+                D = metric.cdist(pts[lo:lo + step], ctr)
+                assign[lo:lo + step] = D.argmin(axis=1)
+                dist[lo:lo + step] = D.min(axis=1)
+            d, a = metric.min_dist(pts, ctr)
+            assert d.tobytes() == dist.tobytes(), seed
+            assert a.tobytes() == assign.tobytes(), seed
 
     def test_point_on_center(self):
         ctr = np.array([[0.0, 0.0], [5.0, 5.0]])

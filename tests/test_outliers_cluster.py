@@ -239,3 +239,74 @@ class TestGainsPrecision:
         np.testing.assert_array_equal(res.centers_idx, ref_idx)
         np.testing.assert_array_equal(res.uncovered, ref_unc)
         assert res.uncovered_weight == ref_w
+
+
+def _subtract_every_pick(T, w, k, r, eps_hat):
+    """Reference: the loop before the min-rows update. After every pick,
+    including the k-th, the weight of the newly covered rows is subtracted
+    from the gains, in blocks of ``_BLOCK_ENTRIES``. Also returns how many
+    picks before the k-th covered more rows than they left uncovered
+    (where the min-rows update recomputes the gains instead)."""
+    D = cdist(T, T)
+    n = len(T)
+    in_ball = D <= (1.0 + 2.0 * eps_hat) * r
+    cover_r = (3.0 + 4.0 * eps_hat) * r
+    wv = w.astype(oc_module._gains_dtype(w))
+    step = max(1, oc_module._BLOCK_ENTRIES // max(1, n))
+    gains = np.empty(n, dtype=wv.dtype)
+    for lo in range(0, n, step):
+        gains[lo:lo + step] = in_ball[lo:lo + step] @ wv
+    uncovered = np.ones(n, dtype=bool)
+    centers, recomputes = [], 0
+    while len(centers) < k and uncovered.any():
+        x = int(gains.argmax())
+        centers.append(x)
+        keep = D[x] > cover_r
+        newly = np.flatnonzero(uncovered & ~keep)
+        uncovered &= keep
+        left = int(uncovered.sum())
+        recomputes += len(centers) < k and 0 < left < len(newly)
+        for lo in range(0, len(newly), step):
+            rows = newly[lo:lo + step]
+            gains -= wv[rows] @ in_ball[rows]
+    centers = np.asarray(centers, dtype=np.int64)
+    return centers, uncovered, float(w[uncovered].sum()), recomputes
+
+
+class TestMinRowsUpdate:
+    """Each pick reads the rows it covers or the rows it leaves uncovered,
+    whichever are fewer, and the k-th pick none: the same answers as
+    subtracting the newly covered rows after every pick, in float32 gains
+    (total weight <= 2^24) and float64 gains (above), on integer weights."""
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("block", [None, 1, 37])
+    def test_matches_subtract_every_pick(self, wide, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(oc_module, "_BLOCK_ENTRIES", block)
+        recomputes = 0
+        for seed in range(200):
+            g = np.random.default_rng([seed, 5])
+            n = int(g.integers(2, 90))
+            T = g.normal(size=(n, int(g.integers(1, 4))))
+            T *= g.uniform(0.5, 4.0, n)[:, None]  # dense core, sparse rim
+            T[g.random(n) < 0.2] = T[0]
+            hi = 2**22 if wide else 9
+            w = g.integers(1, hi, n).astype(np.float64)
+            if wide:
+                w[0] += 2**24  # float64 gains
+            assert (oc_module._gains_dtype(w) is np.float64) == wide
+            D = cdist(T, T)
+            r = float(np.quantile(D, g.uniform(0.05, 0.6)))
+            k = int(g.integers(1, 6))
+            eps_hat = float(g.choice([0.0, 0.1]))
+            ref_idx, ref_unc, ref_w, rc = _subtract_every_pick(
+                T, w, k, r, eps_hat
+            )
+            recomputes += rc
+            res = outliers_cluster(T, w, k, r, eps_hat, dist_matrix=D)
+            assert res.centers_idx.tobytes() == ref_idx.tobytes(), seed
+            assert res.uncovered.tobytes() == ref_unc.tobytes(), seed
+            assert res.uncovered_weight == ref_w, seed
+        # Picks that cover more rows than they leave ran the recompute.
+        assert recomputes > 20, recomputes

@@ -3,6 +3,7 @@ BASESTREAM, CORESETOUTLIERS, BASEOUTLIERS, and the 2-pass variant."""
 import numpy as np
 import pytest
 
+from repro.core import metric
 from repro.core.metric import brute_force_kcenter_outliers, cdist, radius
 from repro.streaming import common
 from repro.streaming.base_outliers import (
@@ -13,7 +14,7 @@ from repro.streaming.base_stream import _Instance, base_stream_kcenter
 from repro.streaming.coreset_outliers import coreset_stream_outliers
 from repro.streaming.coreset_stream import coreset_stream_kcenter
 from repro.streaming.two_pass import maximal_coreset, two_pass_outliers
-from tests.conftest import grid_stream, planted_clusters
+from tests.conftest import float_stream, grid_stream, planted_clusters
 
 
 @pytest.fixture(scope="module")
@@ -293,3 +294,127 @@ class TestBlockScanReference:
                 T_ref, w_ref = maximal_coreset_reference(pts, thresh)
                 assert np.array_equal(T, T_ref)
                 assert np.array_equal(w, w_ref) and w.dtype == w_ref.dtype
+
+
+def cdist_first_far(D, thresh) -> int:
+    """The block-scan step before ``metric.nearest``: the first row of
+    ``D = cdist(block, centers)`` whose row minimum exceeds ``thresh``."""
+    far = np.flatnonzero(D[np.arange(len(D)), D.argmin(axis=1)] > thresh)
+    return int(far[0]) if len(far) else len(D)
+
+
+def base_stream_cdist_scan(inst: _Instance, points) -> None:
+    i, n = 0, len(points)
+    while i < n:
+        if inst.centers:
+            block = points[i : i + common.BLOCK_ROWS]
+            D = cdist(block, np.asarray(inst.centers))
+            f = cdist_first_far(D, 2.0 * inst.r)
+            i += f
+            if f == len(block):
+                continue
+        inst.centers.append(points[i])
+        i += 1
+        while len(inst.centers) > inst.k:
+            inst.r *= 2.0
+            inst._recluster()
+
+
+def base_outliers_cdist_scan(inst: _OutlierInstance, points) -> None:
+    i, n = 0, len(points)
+    while i < n:
+        if inst.centers:
+            block = points[i : i + common.BLOCK_ROWS]
+            D = cdist(block, np.asarray(inst.centers))
+            f = cdist_first_far(D, 4.0 * inst.r)
+            i += f
+            if f == len(block):
+                continue
+        inst.free.append(points[i])
+        i += 1
+        # _consolidate, with the re-processed summary tested by cdist.
+        while True:
+            inst._promote_dense()
+            if len(inst.centers) <= inst.k and len(inst.free) <= inst.free_cap:
+                break
+            stored = inst.centers + inst.free
+            inst.r *= 2.0
+            inst.centers, inst.free = [], []
+            for q in stored:
+                if covered(q, inst.centers, 4.0 * inst.r):
+                    continue
+                inst.free.append(q)
+                inst._promote_dense()
+
+
+def maximal_coreset_cdist_scan(points, thresh):
+    n = len(points)
+    T = np.empty((min(n, common.BLOCK_ROWS), points.shape[1]))
+    w = np.zeros(len(T), dtype=np.int64)
+    m, i = 0, 0
+    while i < n:
+        if m:
+            block = points[i : i + common.BLOCK_ROWS]
+            D = cdist(block, T[:m])
+            f = cdist_first_far(D, thresh)
+            w[:m] += np.bincount(D[:f].argmin(axis=1), minlength=m)
+            i += f
+            if f == len(block):
+                continue
+        if m == len(T):
+            T, w = np.resize(T, (2 * m, T.shape[1])), np.resize(w, 2 * m)
+        T[m], w[m] = points[i], 1
+        m += 1
+        i += 1
+    return T[:m].copy(), w[:m].astype(np.float64)
+
+
+def float_cases(n):
+    """(stream, scale) pairs: 24 float streams with repeated rows, with a
+    threshold scale drawn from the stream's own distances."""
+    for seed in range(24):
+        g = np.random.default_rng([seed, 9])
+        pts = float_stream(seed, n, int(g.integers(1, 8)))
+        D = cdist(pts[:20], pts[:20])
+        yield pts, float(g.choice(D[D > 0]))
+
+
+class TestNearestScan:
+    """On float streams with repeated rows the block scans through
+    ``metric.nearest`` equal the ``cdist`` scans they replaced, as bytes."""
+
+    def test_base_stream_instance(self):
+        for pts, r in float_cases(400):
+            for k in (1, 3, 6):
+                got, ref = _Instance(k=k, r=r / 4), _Instance(k=k, r=r / 4)
+                got.process(pts)
+                base_stream_cdist_scan(ref, pts)
+                assert got.r == ref.r
+                assert (np.asarray(got.centers).tobytes()
+                        == np.asarray(ref.centers).tobytes())
+
+    def test_base_outliers_instance(self):
+        for pts, r in float_cases(150):
+            for k, z in ((1, 1), (3, 2)):
+                got = _OutlierInstance(k=k, z=z, r=r / 8)
+                ref = _OutlierInstance(k=k, z=z, r=r / 8)
+                got.process(pts)
+                base_outliers_cdist_scan(ref, pts)
+                assert got.r == ref.r
+                assert (got.stored_points().tobytes()
+                        == ref.stored_points().tobytes())
+
+    def test_two_pass_pass2(self, monkeypatch):
+        """Pass 2 reads the nearest index too; near-copies of a proxy take
+        the kernel's square-root tie branch."""
+        calls = []
+        ties = metric._root_ties
+        monkeypatch.setattr(metric, "_root_ties",
+                            lambda *a: calls.append(1) or ties(*a))
+        for pts, r in float_cases(400):
+            for thresh in (0.0, r / 2, r, 4 * r):
+                T, w = maximal_coreset(pts, thresh)
+                T_ref, w_ref = maximal_coreset_cdist_scan(pts, thresh)
+                assert T.tobytes() == T_ref.tobytes()
+                assert w.tobytes() == w_ref.tobytes()
+        assert calls
