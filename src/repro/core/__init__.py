@@ -2,10 +2,10 @@
 
 ``metric``            Euclidean distances, (z-outlier) clustering radii,
                       brute-force optima used as test oracles.
-``gmm``               Gonzalez's farthest-first traversal, run incrementally,
-                      plus the paper's fixed-size and epsilon-adaptive
-                      weighted coreset constructions (the round-1 reducer
-                      computation of both MapReduce algorithms).
+``gmm``               Gonzalez's farthest-first traversal, run incrementally
+                      for tau centers or, with ``eps``, until the paper's
+                      (eps/2)-radius rule holds: the weighted round-1
+                      coreset of both MapReduce algorithms.
 ``outliers_cluster``  Algorithm 1 of the paper: the weighted variant of the
                       Charikar et al. greedy for k-center with outliers.
 ``search``            The minimum-feasible-radius search: one bisection over

@@ -1,5 +1,5 @@
-"""Gonzalez's GMM (farthest-first traversal), run incrementally, and the
-paper's two coreset constructions built on it.
+"""Gonzalez's GMM (farthest-first traversal), run incrementally: the
+round-1 coreset construction of every algorithm in the paper.
 
 GMM is the workhorse of the whole paper: it is a sequential 2-approximation
 for k-center (Lemma 1) and, crucially, it is *incremental* — the set of the
@@ -7,16 +7,14 @@ first j centers is a prefix of the set of the first j+1 — which is what lets
 the MapReduce round-1 reducers grow a coreset until a stopping condition is
 met without knowing the doubling dimension D.
 
-Two stopping rules are provided, matching the paper:
+``gmm(X, tau)`` selects ``tau`` centers: the experiments' rule (Section 5
+fixes tau = mu*k or mu*(k+z) instead of sweeping eps). ``gmm(X, tau,
+eps=eps)`` is the theory's rule (Sections 3.1 / 3.2): keep selecting past
+``tau`` until r_{T^j}(X) <= (eps/2) * r_{T^tau}(X), with tau = k, k+z or
+k+z'.
 
-* ``gmm_coreset_adaptive``: the theoretical rule — keep selecting centers
-  past ``k_base`` until r_{T^tau}(S_i) <= (eps/2) * r_{T^{k_base}}(S_i)
-  (Sections 3.1 / 3.2).
-* ``gmm_coreset_fixed``: the experimental rule — select exactly ``tau``
-  centers (Section 5 fixes tau = mu*k or mu*(k+z) instead of sweeping eps).
-
-Both return *weighted* coresets: each selected center carries the number of
-input points whose closest center (proxy, in the paper's terminology) it is.
+The result carries *proxy weights*: each selected center counts the input
+points whose closest center (proxy, in the paper's terminology) it is.
 The k-center MR algorithm ignores the weights; the outliers MR/Streaming
 algorithms require them.
 """
@@ -59,17 +57,19 @@ class GmmResult:
         return as_points(X)[self.centers_idx]
 
 
-def gmm(X, tau: int, *, first: int = 0, stop=None) -> GmmResult:
-    """Run up to ``tau`` iterations of farthest-first traversal on ``X``.
+def gmm(
+    X, tau: int, *, first: int = 0, eps: float | None = None
+) -> GmmResult:
+    """Run farthest-first traversal on ``X`` for ``tau`` centers (all of
+    X's distinct points if it has fewer).
 
     ``first`` is the (arbitrary, per Gonzalez) initial center index; the
     experiments shuffle the input between runs, which is equivalent to
     randomizing ``first``.
 
-    ``stop``, if given, is called as ``stop(j, radii_so_far)`` after the
-    j-th center (1-based) has been added and the radius recorded; returning
-    True ends the run early. Used to implement the adaptive stopping rule
-    without paying for centers past the stopping point.
+    With ``eps``, selection continues past ``tau`` centers and stops at the
+    first j >= tau with r_{T^j}(X) <= (eps/2) * r_{T^tau}(X), the paper's
+    theoretical coreset rule.
     """
     X = as_points(X)
     n = len(X)
@@ -77,9 +77,12 @@ def gmm(X, tau: int, *, first: int = 0, stop=None) -> GmmResult:
         raise ValueError("empty point set")
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
+    if eps is not None and not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     tau = min(tau, n)
     if not 0 <= first < n:
         raise ValueError(f"first index {first} out of range for n={n}")
+    cap = tau if eps is None else n
 
     # d(X, X[c]) is cdist(X, X[c:c+1]) evaluated with the same operations
     # in the same order, bit for bit: the row norms are computed once
@@ -98,65 +101,32 @@ def gmm(X, tau: int, *, first: int = 0, stop=None) -> GmmResult:
         np.clip(nd, 0.0, None, out=nd)
         return np.sqrt(nd, out=nd)
 
-    centers = np.empty(tau, dtype=np.int64)
+    centers = np.empty(cap, dtype=np.int64)
     centers[0] = first
     dist = dist_to(first).copy()
     assign = np.zeros(n, dtype=np.int64)
-    radii = np.empty(tau, dtype=np.float64)
+    radii = np.empty(cap, dtype=np.float64)
     radii[0] = dist.max(initial=0.0)
     j = 1
-    if stop is not None and stop(1, radii[:1]):
-        j = 1
-    else:
-        while j < tau:
-            nxt = int(dist.argmax())
-            if dist[nxt] == 0.0:
-                # All points coincide with an existing center: the coreset is
-                # the full distinct point set, nothing more to select.
-                break
-            centers[j] = nxt
-            dist_to(nxt)
-            np.less(nd, dist, out=closer)
-            np.copyto(dist, nd, where=closer)
-            assign[closer] = j
-            radii[j] = dist.max(initial=0.0)
-            j += 1
-            if stop is not None and stop(j, radii[:j]):
-                break
+    while j < cap:
+        # j >= tau only when eps is given, as cap == tau otherwise.
+        if j >= tau and radii[j - 1] <= (eps / 2.0) * radii[tau - 1]:
+            break
+        nxt = int(dist.argmax())
+        if dist[nxt] == 0.0:
+            # All points coincide with an existing center: the coreset is
+            # the full distinct point set, nothing more to select.
+            break
+        centers[j] = nxt
+        dist_to(nxt)
+        np.less(nd, dist, out=closer)
+        np.copyto(dist, nd, where=closer)
+        assign[closer] = j
+        radii[j] = dist.max(initial=0.0)
+        j += 1
     return GmmResult(
         centers_idx=centers[:j].copy(),
         assign=assign,
         dist=dist,
         radii=radii[:j].copy(),
     )
-
-
-def gmm_coreset_fixed(X, tau: int):
-    """Coreset of exactly ``tau`` centers (fewer only if X has fewer
-    distinct points), with proxy weights — the experimental construction.
-
-    Returns ``(coreset_points, weights, result)``.
-    """
-    res = gmm(X, tau)
-    return res.centers(X), res.weights(), res
-
-
-def gmm_coreset_adaptive(X, k_base: int, eps: float):
-    """The paper's theoretical stopping rule (Sections 3.1/3.2).
-
-    Runs GMM past ``k_base`` centers until the first iteration
-    ``tau >= k_base`` with r_{T^tau}(X) <= (eps/2) * r_{T^{k_base}}(X).
-    ``k_base`` is k for plain k-center, k+z (or k+z') for the outliers
-    variants. Returns ``(coreset_points, weights, result)``.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    X = as_points(X)
-
-    def stop(j: int, radii: np.ndarray) -> bool:
-        if j < k_base or j < 1:
-            return False
-        return radii[j - 1] <= (eps / 2.0) * radii[min(k_base, len(radii)) - 1]
-
-    res = gmm(X, len(X), stop=stop)
-    return res.centers(X), res.weights(), res

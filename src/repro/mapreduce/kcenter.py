@@ -2,11 +2,11 @@
 k-center.
 
 Round 1: partition S into ell subsets, run GMM per subset until the coreset
-rule is met (fixed size tau = mu*k in the experiments, or the adaptive
-(eps/2)-radius rule of the theory). Round 2: gather the union T of the
-coresets at the driver ("a single reducer") and run GMM on T for the final
-k centers. With mu = 1 (tau = k) this algorithm *is* the MALKOMESETAL [26]
-baseline of Figure 2.
+rule is met (fixed size tau = mu*k in the experiments, or the theory's
+(eps/2)-radius rule past k centers, ``gmm(S_i, k, eps=eps)``). Round 2:
+gather the union T of the coresets at the driver ("a single reducer") and
+run GMM on T for the final k centers. With mu = 1 (tau = k) this
+algorithm *is* the MALKOMESETAL [26] baseline of Figure 2.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from repro.core.metric import finite_points
 from repro.data.datasets import to_spark
 from repro.mapreduce.evaluate import radius_spark
 from repro.mapreduce.partitioning import make_pids
-from repro.mapreduce.round1 import CoresetSpec, Round1Result, run_round1
+from repro.mapreduce.round1 import Round1Result, coreset_rule, run_round1
 
 
 @dataclass(frozen=True)
@@ -50,18 +50,16 @@ def mr_kcenter(
     """Run the full 2-round algorithm on ``points`` with parallelism ``ell``.
 
     Exactly one of ``tau`` (fixed per-partition coreset size, >= k) or
-    ``eps`` (adaptive rule with k_base = k) must be given.
+    ``eps`` (the paper's rule, GMM past k centers) must be given.
     """
     points = finite_points(points)
     if not 0 < k < len(points):
         raise ValueError(f"need 0 < k < n, got k={k}, n={len(points)}")
-    if tau is not None and tau < k:
-        raise ValueError(f"tau must be >= k, got tau={tau}, k={k}")
-    spec = CoresetSpec(tau=tau, k_base=k, eps=eps)
+    tau, eps = coreset_rule(tau, eps, k_base=k, tau_min=k)
     pids = make_pids(len(points), ell, partition_mode, seed=seed)
     blocks = to_spark(spark, points, pids=pids)
     t0 = time.perf_counter()
-    r1: Round1Result = run_round1(blocks, ell, spec)
+    r1: Round1Result = run_round1(blocks, ell, tau, eps)
     t1 = time.perf_counter()
     final = gmm(r1.points, k)
     centers = final.centers(r1.points)

@@ -29,9 +29,9 @@ from repro.data.datasets import to_spark
 from repro.mapreduce.evaluate import radius_spark
 from repro.mapreduce.partitioning import make_pids
 from repro.mapreduce.round1 import (
-    CoresetSpec,
     Round1Result,
     build_coreset,
+    coreset_rule,
     run_round1,
 )
 
@@ -55,7 +55,8 @@ class MROutliersResult:
 
 def randomized_zprime(n: int, z: int, ell: int) -> int:
     """z' = 6 * (z/ell + log2 n): the w.h.p. per-partition outlier bound of
-    Lemma 7, used by the adaptive randomized coreset rule."""
+    Lemma 7: the randomized variant runs GMM past k + z' centers under
+    the eps rule."""
     return math.ceil(6.0 * (z / ell + math.log2(max(2, n))))
 
 
@@ -86,9 +87,10 @@ def mr_kcenter_outliers(
 ) -> MROutliersResult:
     """Run the full 2-round outliers algorithm with parallelism ``ell``.
 
-    Exactly one of ``tau`` (fixed per-partition coreset size) or ``eps``
-    (adaptive rule, k_base = k+z or k+z') must be given. ``eps_hat``
-    parameterizes OutliersCluster's ball radii and the search tolerance.
+    Exactly one of ``tau`` (fixed per-partition coreset size, >= k+z, or
+    >= k for the randomized variant) or ``eps`` (the paper's rule, GMM
+    past k+z or k+z' centers) must be given. ``eps_hat`` parameterizes
+    OutliersCluster's ball radii and the search tolerance.
     ``partition_mode`` defaults to "random" when ``randomized`` else
     "contiguous"; "adversarial" additionally needs ``outlier_mask``.
     """
@@ -104,15 +106,18 @@ def mr_kcenter_outliers(
         raise ValueError(
             "the randomized variant's guarantee requires random partitioning"
         )
-    k_base = k + (randomized_zprime(n, z, ell) if randomized else z)
-    spec = CoresetSpec(tau=tau, k_base=k_base, eps=eps)
+    tau, eps = coreset_rule(
+        tau, eps,
+        k_base=k + (randomized_zprime(n, z, ell) if randomized else z),
+        tau_min=k if randomized else k + z,
+    )
 
     pids = make_pids(
         n, ell, partition_mode, seed=seed, outlier_mask=outlier_mask
     )
     blocks = to_spark(spark, points, pids=pids)
     t0 = time.perf_counter()
-    r1: Round1Result = run_round1(blocks, ell, spec)
+    r1: Round1Result = run_round1(blocks, ell, tau, eps)
     t1 = time.perf_counter()
     search: RadiusSearchResult = min_feasible_radius(
         r1.points, r1.weights, k, z, eps_hat
@@ -146,14 +151,15 @@ def sequential_coreset_outliers(
     """The paper's improved sequential algorithm: the ell = 1 MapReduce
     strategy run without Spark (used by the Figure 8 / T7 harness, where
     all competitors are sequential and must be timed on equal footing).
+    Exactly one of ``tau`` (>= k+z) or ``eps`` must be given.
 
     Returns ``(centers, search_result, t_coreset, t_cluster)``.
     """
     check_kz(k, z)
-    spec = CoresetSpec(tau=tau, k_base=k + z, eps=eps)
+    tau, eps = coreset_rule(tau, eps, k_base=k + z, tau_min=k + z)
     points = finite_points(points)
     t0 = time.perf_counter()
-    T, w, _ = build_coreset(points, spec)
+    T, w = build_coreset(points, tau, eps)
     t1 = time.perf_counter()
     search = min_feasible_radius(T, w, k, z, eps_hat)
     t2 = time.perf_counter()

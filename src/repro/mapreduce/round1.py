@@ -6,13 +6,15 @@ subset id ``pid`` in [0, ell) (see ``partitioning``). The map side splits
 each block by pid into sub-blocks ``(pid, (ids, X))``. ``partitionBy``
 sends pid i to Spark partition i mod P, with P = min(ell,
 defaultParallelism), and each reduce task runs the reducers of its pids
-one after the other: one GMM per subset S_i, as in "one reducer per
-subset" of the 2-round MapReduce schema. There is one task per slot rather
-than one per subset because each extra wave of Spark Python tasks costs
-~0.06 s even for trivial work (DESIGN.md §2); the subsets and their
-coresets do not depend on P. Both task functions start with
-``lean_worker()``: without it, every task re-reads the zip archives on the
-worker's Python path (pyspark, py4j, the spark-core jar) for 0.16–0.25 s.
+one after the other: one ``gmm(S_i, tau, eps=eps)`` call per subset S_i,
+as in "one reducer per subset" of the 2-round MapReduce schema. There is
+one task per slot rather than one per subset because each extra wave of
+Spark Python tasks costs ~0.06 s even for trivial work (DESIGN.md §2);
+the subsets and their coresets do not depend on P. Both task functions
+start with ``lean_worker()``: without it, every task re-reads the zip
+archives on the worker's Python path (pyspark, py4j, the spark-core jar)
+for 0.16–0.25 s. The drivers check ``tau`` and ``eps`` with
+``coreset_rule`` before any pass.
 
 Within a subset, points are sorted by ``id`` before running GMM, so the
 coresets depend only on the pid assignment, not on how the input is cut
@@ -33,45 +35,34 @@ from functools import partial
 import numpy as np
 from pyspark import RDD
 
-from repro.core.gmm import gmm_coreset_adaptive, gmm_coreset_fixed
+from repro.core.gmm import gmm
 from repro.mapreduce.worker import lean_worker
 
 
-@dataclass(frozen=True)
-class CoresetSpec:
-    """How each round-1 reducer grows its coreset.
+def coreset_rule(
+    tau: int | None, eps: float | None, *, k_base: int, tau_min: int
+) -> tuple[int, float | None]:
+    """Check a driver's coreset arguments before any pass over the input
+    and return the ``(tau, eps)`` pair each reducer hands to ``gmm``.
 
-    ``tau``: fixed coreset size (the experiments' mu*k / mu*(k+z)); mutually
-    exclusive with the adaptive rule below.
-    ``k_base``/``eps``: the theoretical stopping rule — run GMM past
-    ``k_base`` centers until the radius drops below (eps/2) * r_{T^k_base}.
+    Exactly one of ``tau`` (the experiments' fixed size, at least
+    ``tau_min``) or ``eps`` (the theory's rule, run past ``k_base``
+    centers) must be given.
     """
-
-    tau: int | None = None
-    k_base: int | None = None
-    eps: float | None = None
-
-    def __post_init__(self):
-        fixed = self.tau is not None
-        adaptive = self.k_base is not None and self.eps is not None
-        if fixed == adaptive:
-            raise ValueError(
-                "exactly one of tau=... or (k_base=..., eps=...) must be given"
-            )
-        if fixed and self.tau < 1:
-            raise ValueError(f"tau must be >= 1, got {self.tau}")
-        if adaptive and self.k_base < 1:
-            raise ValueError(f"k_base must be >= 1, got {self.k_base}")
-        if adaptive and not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+    if (tau is None) == (eps is None):
+        raise ValueError("exactly one of tau=... or eps=... must be given")
+    if eps is not None and not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    tau = k_base if tau is None else tau
+    if tau < tau_min:
+        raise ValueError(f"tau must be >= {tau_min}, got {tau}")
+    return tau, eps
 
 
-def build_coreset(X: np.ndarray, spec: CoresetSpec):
-    """One subset's weighted coreset under ``spec``: ``(points, weights,
-    GMM result)``."""
-    if spec.tau is not None:
-        return gmm_coreset_fixed(X, spec.tau)
-    return gmm_coreset_adaptive(X, spec.k_base, spec.eps)
+def build_coreset(X: np.ndarray, tau: int, eps: float | None):
+    """One subset's weighted coreset: ``(points, weights)``."""
+    res = gmm(X, tau, eps=eps)
+    return res.centers(X), res.weights()
 
 
 @dataclass(frozen=True)
@@ -97,7 +88,7 @@ def _split_by_pid(block):
         yield int(pid), (ids[sel], X[sel])
 
 
-def _subset_coresets(it, spec: CoresetSpec):
+def _subset_coresets(it, tau: int, eps: float | None):
     """Reduce side: gather the sub-blocks of each pid routed to this task,
     sort the subset by id and build its coreset. Yields
     ``(pid, coreset points, weights, |S_pid|)``."""
@@ -109,20 +100,23 @@ def _subset_coresets(it, spec: CoresetSpec):
         ids = np.concatenate([i for i, _ in subs])
         order = np.argsort(ids, kind="stable")
         X = np.concatenate([x for _, x in subs])[order]
-        centers, weights, _ = build_coreset(X, spec)
+        centers, weights = build_coreset(X, tau, eps)
         yield pid, centers, weights, len(X)
 
 
-def run_round1(blocks: RDD, ell: int, spec: CoresetSpec) -> Round1Result:
+def run_round1(
+    blocks: RDD, ell: int, tau: int, eps: float | None = None
+) -> Round1Result:
     """Execute round 1 over ``blocks`` (an RDD of ``(ids, pids, X)``
-    blocks) and collect the union of the weighted coresets at the driver.
-    ``part_sizes`` has an entry for every pid in [0, ell), 0 for a subset
-    that received no point."""
+    blocks) and collect the union of the weighted coresets at the driver,
+    each built by ``build_coreset(S_i, tau, eps)``. ``part_sizes`` has an
+    entry for every pid in [0, ell), 0 for a subset that received no
+    point."""
     tasks = min(ell, blocks.context.defaultParallelism)
     out = (
         blocks.flatMap(_split_by_pid)
         .partitionBy(tasks, lambda pid: pid)
-        .mapPartitions(partial(_subset_coresets, spec=spec))
+        .mapPartitions(partial(_subset_coresets, tau=tau, eps=eps))
         .collect()
     )
     if not out:

@@ -32,7 +32,7 @@ def coreset_stream_kcenter(points, k: int, *,
     coreset.process(points)
     t1 = time.perf_counter()
     T, _, _ = coreset.finalize()
-    final = gmm(T, min(k, len(T)))
+    final = gmm(T, k)
     centers = final.centers(T)
     t2 = time.perf_counter()
     return StreamResult.timed(

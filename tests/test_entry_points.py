@@ -2,22 +2,23 @@
 up front. Unchecked, such input makes the streaming guess and merge rules
 double forever and the searches return degenerate answers.
 
-The MapReduce drivers also reject a degenerate coreset spec (tau < 1,
-eps <= 0, or both tau and eps) at the driver, with a ``ValueError``,
-instead of failing inside a Spark task; and every entry point rejects a
-bad k, z or eps before it reads its input."""
+The MapReduce drivers and the sequential path also reject a degenerate
+coreset rule (tau below the paper's bound, eps <= 0, or both tau and eps)
+at the driver, with a ``ValueError``, before the input reaches Spark or
+GMM; and every entry point rejects a bad k, z or eps before it reads its
+input."""
 import numpy as np
 import pytest
 
 from repro.core.gmm import gmm
 from repro.core.search import charikar
-from repro.mapreduce import kcenter_outliers
+from repro.mapreduce import kcenter, kcenter_outliers
 from repro.mapreduce.kcenter import mr_kcenter
 from repro.mapreduce.kcenter_outliers import (
     mr_kcenter_outliers,
     sequential_coreset_outliers,
 )
-from repro.mapreduce.round1 import CoresetSpec
+from repro.mapreduce.round1 import coreset_rule
 from repro.streaming import two_pass
 from repro.streaming.base_outliers import base_stream_outliers
 from repro.streaming.base_stream import base_stream_kcenter
@@ -72,10 +73,48 @@ def _spec_id(spec: dict) -> str:
 
 @pytest.mark.parametrize("spec", DEGENERATE_SPECS, ids=_spec_id)
 @pytest.mark.parametrize("name", sorted(MR_DRIVERS))
-def test_mr_rejects_degenerate_coreset_spec(spark, name, spec):
+def test_mr_rejects_degenerate_coreset_spec(name, spec, no_pass):
     X = np.random.default_rng(0).uniform(-1, 1, (200, 2))
     with pytest.raises(ValueError, match="must be"):
-        MR_DRIVERS[name](spark, X, **spec)
+        MR_DRIVERS[name](None, X, **spec)
+
+
+# A tau below the paper's bound: k for mr_kcenter and the randomized
+# variant, k+z for the deterministic outliers paths (k = 3, z = 5).
+BELOW_TAU_BOUND = {
+    "mr_kcenter": lambda X: mr_kcenter(None, X, 3, 2, tau=2),
+    "mr_kcenter_outliers": lambda X: mr_kcenter_outliers(
+        None, X, 3, 5, 2, tau=7
+    ),
+    "mr_kcenter_outliers-randomized": lambda X: mr_kcenter_outliers(
+        None, X, 3, 5, 2, tau=2, randomized=True
+    ),
+    "sequential_coreset_outliers-tau1": lambda X: sequential_coreset_outliers(
+        X, 3, 5, tau=1
+    ),
+    "sequential_coreset_outliers-tau7": lambda X: sequential_coreset_outliers(
+        X, 3, 5, tau=7
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BELOW_TAU_BOUND))
+def test_rejects_tau_below_paper_bound(name, no_pass):
+    """A tau below the bound is rejected before any pass. Unchecked, a
+    coreset of at most k points is its own set of centers at r = 0:
+    ``sequential_coreset_outliers`` with tau = 1 or 2 on these 300 points
+    (k = 3, z = 5) returned a search radius of 0.0."""
+    X = np.random.default_rng(0).normal(size=(300, 2))
+    with pytest.raises(ValueError, match="tau must be >="):
+        BELOW_TAU_BOUND[name](X)
+
+
+def test_randomized_accepts_tau_below_k_plus_z(no_pass):
+    """The randomized experiments' mu*(k + 6z/ell) may be below k+z, so its
+    bound is k: tau = k passes the check and reaches the pass."""
+    X = np.random.default_rng(0).normal(size=(300, 2))
+    with pytest.raises(AssertionError, match="read its input"):
+        mr_kcenter_outliers(None, X, 3, 5, 2, tau=3, randomized=True)
 
 
 @pytest.mark.parametrize(
@@ -91,7 +130,8 @@ def test_mr_rejects_degenerate_coreset_spec(spark, name, spec):
 )
 def test_coreset_spec_rejects_degenerate(kwargs):
     with pytest.raises(ValueError, match="must be"):
-        CoresetSpec(**kwargs)
+        coreset_rule(kwargs.get("tau"), kwargs.get("eps"),
+                     k_base=kwargs.get("k_base", 1), tau_min=1)
 
 
 @pytest.mark.parametrize("tau", [0, -3])
@@ -127,6 +167,8 @@ def no_pass(monkeypatch):
     monkeypatch.setattr(DoublingCoreset, "process", reached)
     monkeypatch.setattr(two_pass, "maximal_coreset", reached)
     monkeypatch.setattr(kcenter_outliers, "build_coreset", reached)
+    monkeypatch.setattr(kcenter, "to_spark", reached)
+    monkeypatch.setattr(kcenter_outliers, "to_spark", reached)
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,12 @@
-"""Tests for repro.core.gmm — farthest-first traversal and the coreset
-constructions (Lemma 1, Lemma 2's stopping rule, proxy weights)."""
+"""Tests for repro.core.gmm — farthest-first traversal for tau centers
+and under the eps rule (Lemma 1, Lemma 2's stopping rule, proxy
+weights)."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gmm import gmm, gmm_coreset_adaptive, gmm_coreset_fixed
+from repro.core.gmm import gmm
 from repro.core.metric import (
     brute_force_kcenter,
     cdist,
@@ -124,21 +125,23 @@ class TestLemma1:
 
 class TestWeights:
     def test_weights_sum_to_n(self, three_blobs):
-        _, w, _ = gmm_coreset_fixed(three_blobs, 7)
+        w = gmm(three_blobs, 7).weights()
         assert w.sum() == len(three_blobs)
 
     def test_weights_positive(self, three_blobs):
-        _, w, _ = gmm_coreset_fixed(three_blobs, 7)
+        w = gmm(three_blobs, 7).weights()
         assert (w >= 1).all()
 
     def test_weight_counts_match_assignment(self, three_blobs):
-        C, w, res = gmm_coreset_fixed(three_blobs, 5)
-        for t in range(len(C)):
+        res = gmm(three_blobs, 5)
+        w = res.weights()
+        for t in range(res.tau):
             assert w[t] == (res.assign == t).sum()
 
     def test_proxy_distance_bounded_by_radius(self, three_blobs):
         """d(s, p(s)) <= r_T(S_i) for every point — the proxy property."""
-        C, _, res = gmm_coreset_fixed(three_blobs, 6)
+        res = gmm(three_blobs, 6)
+        C = res.centers(three_blobs)
         d = np.linalg.norm(three_blobs - C[res.assign], axis=1)
         assert d.max() <= res.radii[-1] + 1e-9
 
@@ -146,12 +149,13 @@ class TestWeights:
 class TestFixedCoreset:
     @pytest.mark.parametrize("tau", [3, 5, 10, 30])
     def test_size(self, three_blobs, tau):
-        C, w, _ = gmm_coreset_fixed(three_blobs, tau)
+        res = gmm(three_blobs, tau)
+        C, w = res.centers(three_blobs), res.weights()
         assert len(C) == tau and len(w) == tau
 
     def test_larger_tau_smaller_residual(self, three_blobs):
-        _, _, r1 = gmm_coreset_fixed(three_blobs, 3)
-        _, _, r2 = gmm_coreset_fixed(three_blobs, 12)
+        r1 = gmm(three_blobs, 3)
+        r2 = gmm(three_blobs, 12)
         assert r2.radii[-1] <= r1.radii[-1] + 1e-12
 
 
@@ -159,22 +163,22 @@ class TestAdaptiveCoreset:
     def test_stopping_condition_met(self, three_blobs):
         """On stop at tau: r_tau <= (eps/2) * r_k (Section 3.1's rule)."""
         k, eps = 3, 0.5
-        _, _, res = gmm_coreset_adaptive(three_blobs, k, eps)
+        res = gmm(three_blobs, k, eps=eps)
         assert res.tau >= k
         assert res.radii[-1] <= (eps / 2.0) * res.radii[k - 1] + 1e-12
 
     def test_minimality(self, three_blobs):
         """tau is the *first* iteration >= k meeting the rule."""
         k, eps = 3, 0.5
-        _, _, res = gmm_coreset_adaptive(three_blobs, k, eps)
+        res = gmm(three_blobs, k, eps=eps)
         if res.tau > k:
             assert res.radii[res.tau - 2] > (eps / 2.0) * res.radii[k - 1]
 
     @pytest.mark.parametrize("eps", [1.0, 0.5, 0.25])
     def test_smaller_eps_larger_coreset(self, eps):
         pts = planted_clusters(40, [(0, 0), (6, 0), (0, 6), (6, 6)], 1.0, seed=9)
-        _, _, res = gmm_coreset_adaptive(pts, 4, eps)
-        _, _, res_big = gmm_coreset_adaptive(pts, 4, eps / 2)
+        res = gmm(pts, 4, eps=eps)
+        res_big = gmm(pts, 4, eps=eps / 2)
         assert res_big.tau >= res.tau
 
     def test_lemma2_proxy_bound(self):
@@ -184,17 +188,18 @@ class TestAdaptiveCoreset:
         k, eps = 2, 0.5
         opt, _ = brute_force_kcenter(S, k)
         X = S[:6]
-        C, _, res = gmm_coreset_adaptive(X, k, eps)
+        res = gmm(X, k, eps=eps)
+        C = res.centers(X)
         d = np.linalg.norm(X - C[res.assign], axis=1)
         assert d.max() <= eps * opt + 1e-9
 
     def test_weights_sum(self, three_blobs):
-        _, w, _ = gmm_coreset_adaptive(three_blobs, 3, 0.5)
+        w = gmm(three_blobs, 3, eps=0.5).weights()
         assert w.sum() == len(three_blobs)
 
     def test_invalid_eps(self, three_blobs):
         with pytest.raises(ValueError):
-            gmm_coreset_adaptive(three_blobs, 3, 0.0)
+            gmm(three_blobs, 3, eps=0.0)
 
 
 class TestDoublingDimensionBound:
@@ -205,7 +210,7 @@ class TestDoublingDimensionBound:
         x = np.sort(g.uniform(0, 100, 500))
         pts = np.stack([x, np.zeros_like(x)], axis=1)
         k, eps = 4, 0.5
-        _, _, res = gmm_coreset_adaptive(pts, k, eps)
+        res = gmm(pts, k, eps=eps)
         # D=1 bound with slack for the discrete-sample deviation.
         assert res.tau <= k * int(4 / eps) * 4
 
@@ -244,7 +249,8 @@ class TestAgainstReference:
         per-center ``cdist`` loop's ``centers_idx``, ``assign``, ``dist``
         and ``radii`` bit for bit: on seeded float and integer-grid inputs
         with duplicated rows, any first center, tau up to past the number
-        of distinct points, and the adaptive stopping rule."""
+        of distinct points, and ``eps``'s stopping rule, which the
+        reference applies through a ``stop(j, radii)`` callback."""
         g = np.random.default_rng(40 + 2 * grid + adaptive)
         stopped_early = exhausted = 0
         for _ in range(60):
@@ -260,7 +266,6 @@ class TestAgainstReference:
                 X = X[g.integers(0, min(n, 5), n)]
             tau = int(g.integers(1, n + 4))
             first = int(g.integers(0, n))
-            stop = None
             if adaptive:
                 k_base, eps = int(g.integers(1, 8)), float(g.uniform(0.1, 2))
 
@@ -269,8 +274,13 @@ class TestAgainstReference:
                         radii[j - 1] <= eps / 2 * radii[k_base - 1]
                     )
 
-            got = gmm(X, tau, first=first, stop=stop)
-            ref = _per_center_gmm(X, tau, first=first, stop=stop)
+                # The rule may run GMM up to every point of X.
+                got = gmm(X, k_base, first=first, eps=eps)
+                tau = n
+                ref = _per_center_gmm(X, tau, first=first, stop=stop)
+            else:
+                got = gmm(X, tau, first=first)
+                ref = _per_center_gmm(X, tau, first=first)
             for name, want in zip(("centers_idx", "assign", "dist", "radii"),
                                   ref):
                 have = getattr(got, name)

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.gmm import gmm, gmm_coreset_adaptive, gmm_coreset_fixed
+from repro.core.gmm import gmm
 from repro.core.metric import brute_force_kcenter, radius
 from repro.data.datasets import to_spark
 from repro.mapreduce.kcenter import mr_kcenter
 from repro.mapreduce.partitioning import make_pids
-from repro.mapreduce.round1 import CoresetSpec, Round1Result, run_round1
+from repro.mapreduce.round1 import Round1Result, coreset_rule, run_round1
 from tests.conftest import planted_clusters
 
 
@@ -81,7 +81,7 @@ class TestEndToEnd:
         assert res.t_coreset > 0 and res.t_final >= 0
 
 
-def _round1_reference(X, pids, ell, spec):
+def _round1_reference(X, pids, ell, tau, eps):
     """Round 1 without Spark: per pid, the subset in id order, its coreset,
     the coreset rows sorted lexicographically; concatenated by pid."""
     points, weights, out_pids, sizes = [], [], [], {}
@@ -90,10 +90,8 @@ def _round1_reference(X, pids, ell, spec):
         sizes[pid] = len(S)
         if not len(S):
             continue
-        if spec.tau is not None:
-            C, w, _ = gmm_coreset_fixed(S, spec.tau)
-        else:
-            C, w, _ = gmm_coreset_adaptive(S, spec.k_base, spec.eps)
+        res = gmm(S, tau, eps=eps)
+        C, w = res.centers(S), res.weights()
         order = np.lexsort(C.T[::-1])
         points.append(C[order])
         weights.append(w[order])
@@ -112,11 +110,10 @@ def _assert_same_round1(a, b):
 
 class TestRound1:
     @pytest.mark.parametrize(
-        "spec", [CoresetSpec(tau=8), CoresetSpec(k_base=4, eps=0.5)],
-        ids=["fixed", "adaptive"],
+        "rule", [(8, None), (4, 0.5)], ids=["fixed", "adaptive"],
     )
     def test_independent_of_row_order_and_partitioning(
-        self, spark, blobs4, spec
+        self, spark, blobs4, rule
     ):
         """Each reducer sorts its subset by id, so round 1 depends only on
         the pid assignment: not on the input's row order, how it is cut
@@ -131,8 +128,8 @@ class TestRound1:
             ],
             7,
         )
-        a = run_round1(to_spark(spark, blobs4, pids=pids), 4, spec)
-        b = run_round1(moved, 4, spec)
+        a = run_round1(to_spark(spark, blobs4, pids=pids), 4, *rule)
+        b = run_round1(moved, 4, *rule)
         _assert_same_round1(a, b)
 
     @pytest.mark.parametrize("ell", [1, 3, 4, 8, 16])
@@ -145,16 +142,15 @@ class TestRound1:
         splits = spark.sparkContext.defaultParallelism
         cases = [
             (planted_clusters(60, [(0, 0), (9, 2), (3, 8)], 1.0, seed=ell),
-             CoresetSpec(tau=6)),
-            (np.rint(g.normal(size=(150, 3)) * 4),
-             CoresetSpec(k_base=3, eps=0.7)),
-            (g.normal(size=(max(1, splits - 1), 2)), CoresetSpec(tau=2)),
+             (6, None)),
+            (np.rint(g.normal(size=(150, 3)) * 4), (3, 0.7)),
+            (g.normal(size=(max(1, splits - 1), 2)), (2, None)),
         ]
-        for X, spec in cases:
+        for X, rule in cases:
             pids = g.integers(0, ell, len(X)).astype(np.int32)
-            got = run_round1(to_spark(spark, X, pids=pids), ell, spec)
+            got = run_round1(to_spark(spark, X, pids=pids), ell, *rule)
             points, weights, ref_pids, sizes = _round1_reference(
-                X, pids, ell, spec
+                X, pids, ell, *rule
             )
             _assert_same_round1(got, Round1Result(
                 points=points, weights=weights, pids=ref_pids,
@@ -184,7 +180,7 @@ class TestValidation:
             mr_kcenter(spark, blobs4, k=4, ell=2, tau=3)
 
     def test_spec_requires_exactly_one_rule(self):
-        with pytest.raises(ValueError):
-            CoresetSpec()
-        with pytest.raises(ValueError):
-            CoresetSpec(tau=5, k_base=3, eps=0.5)
+        with pytest.raises(ValueError, match="exactly one"):
+            coreset_rule(None, None, k_base=3, tau_min=3)
+        with pytest.raises(ValueError, match="exactly one"):
+            coreset_rule(5, 0.5, k_base=3, tau_min=3)

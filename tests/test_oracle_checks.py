@@ -18,7 +18,7 @@ from repro.data.datasets import add_outliers, higgs_like, to_spark
 from repro.mapreduce.evaluate import radius_spark, top_distances
 from repro.mapreduce.kcenter_outliers import mr_kcenter_outliers
 from repro.mapreduce.partitioning import make_pids
-from repro.mapreduce.round1 import CoresetSpec, run_round1
+from repro.mapreduce.round1 import run_round1
 from tests.oracle import assert_equivalent, points_table, query
 
 D, ELL, TAU, K = 7, 5, 20, 5
@@ -34,7 +34,7 @@ def run(spark):
     X, _ = add_outliers(higgs_like(3000, seed=60), 50, seed=60)
     pids = make_pids(len(X), ELL, "random", seed=60)
     blocks = to_spark(spark, X, pids=pids)
-    r1 = run_round1(blocks, ELL, CoresetSpec(tau=TAU))
+    r1 = run_round1(blocks, ELL, TAU)
     centers = gmm(r1.points, K).centers(r1.points)
     return SimpleNamespace(
         X=X, blocks=blocks, r1=r1, centers=centers, pts=points_table(X, pids)

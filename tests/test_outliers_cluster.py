@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gmm import gmm_coreset_fixed
+from repro.core.gmm import gmm
 from repro.core import outliers_cluster as oc_module
 from repro.core.metric import brute_force_kcenter_outliers, cdist, min_dist
 from repro.core.outliers_cluster import outliers_cluster
@@ -123,7 +123,8 @@ class TestLemma5:
         pts, mask = blobs_with_outliers
         k, z = 3, int(mask.sum())
         # weighted coreset from GMM with proxy weights
-        T, w, res_gmm = gmm_coreset_fixed(pts, k + z + 5)
+        res_gmm = gmm(pts, k + z + 5)
+        T, w = res_gmm.centers(pts), res_gmm.weights()
         # r*_{k,z}(S) upper bound: radius of planted solution
         opt_ub = 2.0  # blobs have std 0.3 around known centers
         res = outliers_cluster(T, w.astype(float), k, opt_ub, 0.1)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import search as search_module
-from repro.core.gmm import gmm_coreset_fixed
+from repro.core.gmm import gmm
 from repro.core.metric import (
     brute_force_kcenter_outliers,
     cdist,
@@ -58,7 +58,8 @@ class TestGeometricSearch:
     def test_weighted_feasibility(self, blobs_with_outliers):
         pts, mask = blobs_with_outliers
         z = int(mask.sum())
-        T, w, _ = gmm_coreset_fixed(pts, 3 + z + 6)
+        res_gmm = gmm(pts, 3 + z + 6)
+        T, w = res_gmm.centers(pts), res_gmm.weights()
         res = min_feasible_radius(T, w.astype(float), 3, z, 0.1)
         assert res.cluster.uncovered_weight <= z
 
