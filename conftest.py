@@ -1,4 +1,3 @@
-import os
 import sys
 
 import pytest
@@ -12,11 +11,10 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session, from the
     same builder the experiment driver uses (``repro.experiments``)."""
     s = spark_session("repro")
-    # One line in the test log that tells whether the cgroup derivation of
-    # the driver memory saw the real limit.
+    # One line in the test log with the memory and master the JVM got.
     print(
-        f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
-        f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "
+        "[conftest] spark.driver.memory="
+        f"{s.sparkContext.getConf().get('spark.driver.memory')} "
         f"master={s.sparkContext.master} "
         f"defaultParallelism={s.sparkContext.defaultParallelism}",
         file=sys.stderr,

@@ -45,50 +45,19 @@ from repro.streaming.coreset_outliers import coreset_stream_outliers
 from repro.streaming.coreset_stream import coreset_stream_kcenter
 
 
-def _driver_mem() -> str:
-    """~75% of the container's memory limit, for the Spark driver JVM.
-
-    Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. The cgroup read is best-effort: a sandbox's sysfs
-    emulation may not pass the host limit through. An unbounded value
-    (cgroup-v1's ~9.2e18 "unlimited" sentinel, or a missing limit) is
-    treated as absent so the JVM is never handed an impossible heap.
-    ``_SPARK_DRIVER_MEM_SRC`` records which source was used.
-    """
-    if m := os.environ.get("SPARK_DRIVER_MEM"):
-        return m
-    for p in (
-        "/sys/fs/cgroup/memory.max",
-        "/sys/fs/cgroup/memory/memory.limit_in_bytes",
-    ):
-        try:
-            raw = open(p).read().strip()
-            if not raw or raw == "max":
-                continue
-            gib = int(raw) / (1 << 30)
-            if not (1 <= gib <= 1024):  # v1 "unlimited" → ~8.6e9 GiB
-                continue
-            os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
-            return f"{max(1, int(gib * 0.75))}g"
-        except (OSError, ValueError):
-            continue
-    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
-
-
 def spark_session(app: str = "repro") -> SparkSession:
     """The one local SparkSession builder, for the driver and the tests'
     ``spark`` fixture: master ``SPARK_MASTER`` (default local[*]), driver
-    memory from ``_driver_mem``, UI off. The JVM reads master and memory
-    from ``PYSPARK_SUBMIT_ARGS`` when it launches, so they are set there
-    (unless already set) before the first session. The algorithms use only
-    the RDD API, whose ``partitionBy`` takes its partition count
-    explicitly, so no Spark SQL setting is made."""
-    os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
+    memory ``SPARK_DRIVER_MEM`` (default 2g, the benchmark's), UI off. The
+    JVM reads master and memory from ``PYSPARK_SUBMIT_ARGS`` when it
+    launches, so they are set there (unless already set) before the first
+    session. The algorithms use only the RDD API, whose ``partitionBy``
+    takes its partition count explicitly, so no Spark SQL setting is
+    made."""
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-        f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
+        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '2g')} "
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false "
         "pyspark-shell",
@@ -163,7 +132,6 @@ def _mr_run(c: Cell, ell: int, tau: int, randomized: bool) -> dict:
     adversarially, every injected outlier in one subset (§5.2)."""
     res = mr_kcenter_outliers(
         c.spark, c.X, c.k, c.t.z, ell, tau=tau, randomized=randomized,
-        partition_mode="random" if randomized else "adversarial",
         outlier_mask=None if randomized else c.mask, seed=c.seed,
     )
     return {

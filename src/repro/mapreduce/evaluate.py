@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from pyspark import RDD
 
-from repro.core.metric import as_points, min_dist
+from repro.core.metric import as_points, min_dist, radius_from_distances
 from repro.mapreduce.worker import lean_worker
 
 
@@ -42,7 +42,4 @@ def top_distances(blocks: RDD, centers, m: int) -> np.ndarray:
 def radius_spark(blocks: RDD, centers, z: int = 0) -> float:
     """r_{T,Z_T}(S) computed distributively: the (z+1)-th largest
     closest-center distance over all blocks (z=0: plain radius)."""
-    top = top_distances(blocks, centers, z + 1)
-    if len(top) <= z:
-        return 0.0  # fewer than z+1 points: everything may be discarded
-    return float(top[z])
+    return radius_from_distances(top_distances(blocks, centers, z + 1), z)

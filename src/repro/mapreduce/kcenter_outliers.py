@@ -81,7 +81,6 @@ def mr_kcenter_outliers(
     eps: float | None = None,
     eps_hat: float = 0.05,
     randomized: bool = False,
-    partition_mode: str | None = None,
     outlier_mask: np.ndarray | None = None,
     seed: int = 0,
 ) -> MROutliersResult:
@@ -91,8 +90,9 @@ def mr_kcenter_outliers(
     >= k for the randomized variant) or ``eps`` (the paper's rule, GMM
     past k+z or k+z' centers) must be given. ``eps_hat`` parameterizes
     OutliersCluster's ball radii and the search tolerance.
-    ``partition_mode`` defaults to "random" when ``randomized`` else
-    "contiguous"; "adversarial" additionally needs ``outlier_mask``.
+    The partitioning is random for the randomized variant (its guarantee
+    needs it), adversarial when ``outlier_mask`` is given (every flagged
+    point in one subset), and contiguous otherwise.
     """
     points = finite_points(points)
     n = len(points)
@@ -100,21 +100,15 @@ def mr_kcenter_outliers(
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
     if not 0 <= z < n:
         raise ValueError(f"need 0 <= z < n, got z={z}, n={n}")
-    if partition_mode is None:
-        partition_mode = "random" if randomized else "contiguous"
-    if randomized and partition_mode != "random":
-        raise ValueError(
-            "the randomized variant's guarantee requires random partitioning"
-        )
     tau, eps = coreset_rule(
         tau, eps,
         k_base=k + (randomized_zprime(n, z, ell) if randomized else z),
         tau_min=k if randomized else k + z,
     )
 
-    pids = make_pids(
-        n, ell, partition_mode, seed=seed, outlier_mask=outlier_mask
-    )
+    mode = ("random" if randomized
+            else "contiguous" if outlier_mask is None else "adversarial")
+    pids = make_pids(n, ell, mode, seed=seed, outlier_mask=outlier_mask)
     blocks = to_spark(spark, points, pids=pids)
     t0 = time.perf_counter()
     r1: Round1Result = run_round1(blocks, ell, tau, eps)

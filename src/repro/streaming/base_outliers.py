@@ -24,13 +24,14 @@ mirroring BASESTREAM.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from repro.core.metric import cdist, finite_points, nearest
+from repro.core.metric import cdist, finite_points
 from repro.core.search import charikar
 from repro.streaming import common
-from repro.streaming.common import StreamResult, first_far, guess_ladder_stream
+from repro.streaming.common import StreamResult, guess_ladder_stream
 
 
 @dataclass
@@ -46,22 +47,23 @@ class _OutlierInstance:
         return self.k * self.z + self.z
 
     def process(self, points: np.ndarray) -> None:
-        """Read ``points`` in order. A point within 4r of a center is
-        covered and dropped, a block at a time (``nearest``, then
-        ``first_far``); any other point is stored as free and consolidated
-        on its own."""
-        i, n = 0, len(points)
+        """Read ``points`` in order: a point within 4r of a center is
+        covered and dropped, any other point is stored as free and
+        consolidated on its own (``_scan``)."""
+        self._scan(points, self._consolidate)
+
+    def _scan(self, P: np.ndarray, then: Callable[[], None]) -> None:
+        """Read ``P`` in order with ``common.scan`` at 4r: the covered rows
+        are dropped, and each other row is stored as free, then ``then()``
+        runs before the scan goes on against the new centers."""
+        i, n = 0, len(P)
         while i < n:
-            if self.centers:
-                block = points[i : i + common.BLOCK_ROWS]
-                dist, _ = nearest(block, np.asarray(self.centers))
-                f = first_far(dist, 4.0 * self.r)
-                i += f
-                if f == len(block):
-                    continue
-            self.free.append(points[i])
+            i, _ = common.scan(P, i, np.asarray(self.centers), 4.0 * self.r)
+            if i == n:
+                return
+            self.free.append(P[i])
             i += 1
-            self._consolidate()
+            then()
 
     def _consolidate(self) -> None:
         """Promote dense free points to centers; escalate the guess when
@@ -70,17 +72,12 @@ class _OutlierInstance:
             self._promote_dense()
             if len(self.centers) <= self.k and len(self.free) <= self.free_cap:
                 return
-            # Guess failed: double r and re-process the stored summary.
-            stored = self.centers + self.free
+            # Guess failed: double r and re-process the stored summary,
+            # promoting after each point it stores.
+            stored = np.asarray(self.centers + self.free)
             self.r *= 2.0
             self.centers, self.free = [], []
-            for q in stored:
-                if self.centers:
-                    d, _ = nearest(q, np.asarray(self.centers))
-                    if d[0] <= 4.0 * self.r:
-                        continue
-                self.free.append(q)
-                self._promote_dense()
+            self._scan(stored, self._promote_dense)
 
     def _promote_dense(self) -> None:
         """While some free point has >= z+1 free points (itself included)

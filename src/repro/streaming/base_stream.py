@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.metric import cdist, finite_points, nearest
+from repro.core.metric import cdist, finite_points
 from repro.streaming import common
-from repro.streaming.common import StreamResult, first_far, guess_ladder_stream
+from repro.streaming.common import StreamResult, guess_ladder_stream
 
 
 @dataclass
@@ -38,17 +38,13 @@ class _Instance:
         """Read ``points`` in order. A point within 2r of a center is
         covered; any other point opens a center, and while there are more
         than k the guess doubles and the centers are re-clustered. Covered
-        points are found a block at a time (``nearest``, then
-        ``first_far``)."""
+        points are passed by ``common.scan``."""
         i, n = 0, len(points)
         while i < n:
-            if self.centers:
-                block = points[i : i + common.BLOCK_ROWS]
-                dist, _ = nearest(block, np.asarray(self.centers))
-                f = first_far(dist, 2.0 * self.r)
-                i += f
-                if f == len(block):
-                    continue
+            i, _ = common.scan(points, i, np.asarray(self.centers),
+                               2.0 * self.r)
+            if i == n:
+                return
             self.centers.append(points[i])
             i += 1
             while len(self.centers) > self.k:

@@ -11,24 +11,42 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.metric import cdist, check_kz, min_gap
+from repro.core.metric import cdist, check_kz, min_gap, nearest
 
-# Stream rows whose nearest centers one scan step finds in a single
+# Stream rows whose nearest centers ``scan`` finds in a single
 # ``metric.nearest`` call. A larger block wastes more rows after a point
 # that changes the centers; on the benchmark's stream (d=7, tau=880, a
 # 4-vCPU Xeon) 64-128 rows were fastest.
 BLOCK_ROWS = 128
 
 
-def first_far(dist: np.ndarray, thresh: float) -> int:
-    """One step of the streaming block scan: the first row of a block whose
-    nearest-center distance ``dist`` (from ``metric.nearest``) exceeds
-    ``thresh``, or ``len(dist)`` if there is none. The rows before it take
-    the update rule against unchanged centers; that row changes the
-    centers, so the caller handles it alone and restarts the scan after
-    it."""
-    far = np.flatnonzero(dist > thresh)
-    return int(far[0]) if len(far) else len(dist)
+def scan(
+    P, i: int, C, thresh: float, nP=None, nC=None
+) -> tuple[int, np.ndarray]:
+    """The streaming block scan: read ``P`` from row ``i`` against the
+    fixed centers ``C``, ``BLOCK_ROWS`` rows per ``metric.nearest`` call.
+
+    Returns ``(j, counts)``: ``j`` is the first row farther than
+    ``thresh`` from every center (``len(P)`` if there is none, ``i`` if
+    ``C`` is empty), and ``counts`` the number of rows of ``[i, j)`` whose
+    nearest center (the first on a tie) is each center. Row ``j`` changes
+    the centers, so the caller handles it alone and scans again from
+    ``j + 1``. ``nP`` and ``nC`` are cached ``sq_norms`` of ``P`` and
+    ``C``, as ``nearest`` takes them.
+    """
+    counts = np.zeros(len(C), dtype=np.int64)
+    if not len(C):
+        return i, counts
+    while i < len(P):
+        hi = i + BLOCK_ROWS
+        dist, idx = nearest(P[i:hi], C, None if nP is None else nP[i:hi], nC)
+        far = np.flatnonzero(dist > thresh)
+        f = int(far[0]) if len(far) else len(dist)
+        counts += np.bincount(idx[:f], minlength=len(C))
+        i += f
+        if f < len(dist):
+            break
+    return i, counts
 
 
 def greedy_cover(D: np.ndarray, thresh: float) -> np.ndarray:

@@ -16,19 +16,18 @@ weight (*update rule*), a farther point becomes a new center, and whenever
 |T| exceeds tau the *merge rule* doubles phi and greedily merges centers
 closer than 4*phi until invariant (a) holds again.
 
-The update rule leaves T unchanged, so the stream is scanned a block of
-rows at a time: one ``nearest`` from the block to T, one ``bincount`` for
-the rows before the first one farther than 8*phi (``common.first_far``),
-then that row alone and a restart after it. T's squared norms are kept
-next to its points, so a block's kernel call computes no norm.
+The update rule leaves T unchanged, so the stream is read by
+``common.scan`` at threshold 8*phi: the rows before the first farther one
+add their counts to T's weights, that row alone becomes a center, and the
+scan restarts after it. T's squared norms are kept next to its points, so
+the scan computes no center norm.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.metric import as_points, cdist, min_gap, nearest, sq_norms
-from repro.streaming import common
-from repro.streaming.common import first_far, greedy_cover
+from repro.core.metric import as_points, cdist, min_gap, sq_norms
+from repro.streaming.common import greedy_cover, scan
 
 
 class DoublingCoreset:
@@ -142,13 +141,11 @@ class DoublingCoreset:
         """Process ``points``, one row per stream point, in order.
 
         The first tau+1 points fill the buffer by slice and seed T. After
-        that, each step finds the nearest center of the next
-        ``common.BLOCK_ROWS`` rows in one ``nearest`` call, with the rows'
-        squared norms computed once per call and T's cached. The rows
-        before the first one farther than 8*phi take the update rule
-        together (one ``bincount``). That row becomes a center, the merge
-        rule runs if |T| > tau, and the scan restarts after it against the
-        new T.
+        that, ``common.scan`` reads the rows against T at 8*phi, with the
+        rows' squared norms computed once per call and T's cached: the
+        rows it passes take the update rule together, the first farther
+        row becomes a center, the merge rule runs if |T| > tau, and the
+        scan restarts after that row against the new T.
         """
         P = as_points(points)
         if P.shape[1] != self.dim:
@@ -166,19 +163,16 @@ class DoublingCoreset:
             if self._m == self.tau + 1:
                 self._seed()
         while i < n:
-            hi, m = i + common.BLOCK_ROWS, self._m
-            block = P[i:hi]
-            dist, idx = nearest(block, self._pts[:m], norms[i:hi],
-                                self._sq[:m])
-            f = first_far(dist, 8.0 * self.phi)
-            self._w[:m] += np.bincount(idx[:f], minlength=m)
-            self.n_processed += f
-            i += f
-            if f == len(block):
-                continue
-            self._append(block[f], 1)  # row f opens a center
+            m = self._m
+            j, counts = scan(P, i, self._pts[:m], 8.0 * self.phi, norms,
+                             self._sq[:m])
+            self._w[:m] += counts
+            self.n_processed += j - i
+            if j == n:
+                break
+            self._append(P[j], 1)  # row j opens a center
             self.n_processed += 1
-            i += 1
+            i = j + 1
             if self._m > self.tau:
                 self._merge_rule()
         return self

@@ -17,10 +17,10 @@ import time
 
 import numpy as np
 
-from repro.core.metric import check_kz, finite_points, nearest
+from repro.core.metric import check_kz, finite_points
 from repro.core.search import min_feasible_radius
 from repro.streaming import common
-from repro.streaming.common import StreamResult, first_far
+from repro.streaming.common import StreamResult
 from repro.streaming.doubling import DoublingCoreset
 
 
@@ -31,23 +31,19 @@ def maximal_coreset(
     1 to its nearest proxy's weight, any other point joins T with weight 1.
 
     Returns ``(T, w)``, T's points pairwise > ``thresh`` apart and w their
-    proxy counts (float64, for the search). The scan runs a block of rows
-    at a time (``nearest``, then ``first_far``) over arrays that double in
-    capacity when T fills them.
+    proxy counts (float64, for the search). ``common.scan`` reads the
+    stream against T; T lives in arrays that double in capacity when it
+    fills them.
     """
     n = len(points)
     T = np.empty((min(n, common.BLOCK_ROWS), points.shape[1]))
     w = np.zeros(len(T), dtype=np.int64)
     m, i = 0, 0
     while i < n:
-        if m:
-            block = points[i : i + common.BLOCK_ROWS]
-            dist, idx = nearest(block, T[:m])
-            f = first_far(dist, thresh)
-            w[:m] += np.bincount(idx[:f], minlength=m)
-            i += f
-            if f == len(block):
-                continue
+        i, counts = common.scan(points, i, T[:m], thresh)
+        w[:m] += counts
+        if i == n:
+            break
         if m == len(T):
             T, w = np.resize(T, (2 * m, T.shape[1])), np.resize(w, 2 * m)
         T[m], w[m] = points[i], 1

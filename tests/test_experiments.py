@@ -201,3 +201,21 @@ def test_run_record_carries_search_trace(spark, tmp_path, monkeypatch):
             assert row["r_search"] == min(
                 r for r, unc_w, _ in trace if unc_w <= t.z
             )
+
+
+def test_spark_session_default_driver_memory():
+    """With neither ``SPARK_DRIVER_MEM`` nor ``PYSPARK_SUBMIT_ARGS`` set,
+    the session's driver gets 2g, the benchmark's memory."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("SPARK_DRIVER_MEM", "PYSPARK_SUBMIT_ARGS")}
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    code = (
+        "from repro.experiments import spark_session\n"
+        "s = spark_session('driver-mem')\n"
+        "print(s.sparkContext.getConf().get('spark.driver.memory'))\n"
+        "s.stop()\n"
+    )
+    p = subprocess.run([sys.executable, "-c", code], env=env,
+                       capture_output=True, text=True, timeout=300)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.split()[-1] == "2g"

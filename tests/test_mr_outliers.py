@@ -61,7 +61,7 @@ class TestDeterministic:
         res = mr_kcenter_outliers(
             spark, pts, k=3, z=z, ell=4,
             tau=experiment_tau(4, 3, z, 4, randomized=False),
-            partition_mode="adversarial", outlier_mask=mask,
+            outlier_mask=mask,
         )
         assert res.radius < 5.0
 
@@ -110,14 +110,6 @@ class TestRandomized:
         det = experiment_tau(2, 20, 200, 16, randomized=False)
         rnd = experiment_tau(2, 20, 200, 16, randomized=True)
         assert rnd < det / 2
-
-    def test_rejects_non_random_partitioning(self, spark, blobs_out):
-        pts, mask = blobs_out
-        with pytest.raises(ValueError):
-            mr_kcenter_outliers(
-                spark, pts, k=3, z=2, ell=2, tau=20, randomized=True,
-                partition_mode="contiguous",
-            )
 
 
 class TestFormulas:

@@ -114,7 +114,8 @@ class TestDistributedEvaluator:
             rtol=1e-9,
         )
 
-    @pytest.mark.parametrize("z", [0, 1, 7])
+    # 3050 = len(run.X): with z >= n every point may be discarded.
+    @pytest.mark.parametrize("z", [0, 1, 7, 3050])
     def test_radius_spark_matches_local(self, run, z):
         assert radius_spark(run.blocks, run.centers, z=z) == pytest.approx(
             radius(run.X, run.centers, z), rel=1e-9
