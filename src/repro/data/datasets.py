@@ -21,7 +21,8 @@ Inflation follows Section 5.3: sample a base point, add per-coordinate
 Gaussian noise with sigma = 10% of that coordinate's range.
 
 ``to_spark`` turns a numpy array into the input of the MapReduce drivers:
-an RDD of numpy blocks ``(ids, pids, X)``, one per Spark partition.
+an RDD of numpy blocks ``(ids, pids, X)``, one per Spark partition, with
+each round-1 subset whole in one block.
 """
 from __future__ import annotations
 
@@ -184,29 +185,34 @@ def inflate(points, factor: int, *, seed: int = 0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def to_spark(spark: SparkSession, points, *, pids=None) -> RDD:
-    """Points as an RDD of numpy blocks ``(ids, pids, X)``.
+    """Points as an RDD of numpy blocks ``(ids, pids, X)``, each round-1
+    subset whole in its reducer's block.
 
-    The input is cut into ``defaultParallelism`` contiguous splits (one
-    Spark partition each, empty if there are fewer points than splits);
-    each split is one block with ``ids`` int64 (the row numbers 0..n-1),
-    ``pids`` int32 and ``X`` float64 of shape ``(rows, d)``. ``pids``
-    (optional) are precomputed partition ids (see
-    ``repro.mapreduce.partitioning``); default 0. Blocks cross into Spark
-    as pickled arrays: no per-point Row and no per-point Python list.
+    ``pids`` (default 0) are the round-1 subset ids (see
+    ``repro.mapreduce.partitioning``), one non-negative int per point; a
+    wrong shape or a negative entry raises ``ValueError`` before Spark is
+    touched. There are ``defaultParallelism`` = P partitions of one block
+    each (empty if no pid maps there). Partition p holds every point whose
+    pid is p mod P, in (pid, id) order from one stable argsort of the
+    pids, as ``ids`` int64 (row numbers), ``pids`` int32 and ``X`` float64
+    ``(rows, d)``. Blocks cross into Spark as pickled arrays: no per-point
+    Row and no per-point Python list.
     """
     points = as_points(points)
     n = len(points)
-    ids = np.arange(n, dtype=np.int64)
-    pids = (
-        np.zeros(n, dtype=np.int32)
-        if pids is None
-        else np.asarray(pids, dtype=np.int32)
-    )
+    if pids is None:
+        pids = np.zeros(n, dtype=np.int32)
+    pids = np.asarray(pids, dtype=np.int32)
+    if pids.shape != (n,):
+        raise ValueError(f"pids must have shape ({n},), got {pids.shape}")
+    if (pids < 0).any():
+        raise ValueError("pids must be non-negative")
     sc = spark.sparkContext
     splits = sc.defaultParallelism
-    cuts = np.arange(splits + 1) * n // splits
-    blocks = [
-        (ids[lo:hi], pids[lo:hi], points[lo:hi])
-        for lo, hi in zip(cuts[:-1], cuts[1:])
-    ]
+    order = np.argsort(pids, kind="stable")  # rows by (pid, id)
+    home = pids[order] % splits
+    blocks = []
+    for p in range(splits):
+        rows = order[home == p]
+        blocks.append((rows, pids[rows], points[rows]))
     return sc.parallelize(blocks, splits)

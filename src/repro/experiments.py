@@ -51,9 +51,8 @@ def spark_session(app: str = "repro") -> SparkSession:
     memory ``SPARK_DRIVER_MEM`` (default 2g, the benchmark's), UI off. The
     JVM reads master and memory from ``PYSPARK_SUBMIT_ARGS`` when it
     launches, so they are set there (unless already set) before the first
-    session. The algorithms use only the RDD API, whose ``partitionBy``
-    takes its partition count explicitly, so no Spark SQL setting is
-    made."""
+    session. The algorithms use only the RDD API, with the partition
+    count given explicitly, so no Spark SQL setting is made."""
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "

@@ -32,7 +32,7 @@ class MRKCenterResult:
     radius: float  # r_T(S) over the full input (distributed)
     coreset_size: int  # |T| = size of the union of coresets
     part_sizes: dict[int, int]
-    t_coreset: float  # round-1 wall time (includes the shuffle)
+    t_coreset: float  # round-1 wall time (one Spark stage, no shuffle)
     t_final: float  # round-2 wall time (GMM on T)
 
 

@@ -2,24 +2,26 @@
 
 The input is an RDD of numpy blocks ``(ids, pids, X)`` (see
 ``repro.data.datasets.to_spark``) in which every point carries an explicit
-subset id ``pid`` in [0, ell) (see ``partitioning``). The map side splits
-each block by pid into sub-blocks ``(pid, (ids, X))``. ``partitionBy``
-sends pid i to Spark partition i mod P, with P = min(ell,
-defaultParallelism), and each reduce task runs the reducers of its pids
-one after the other: one ``gmm(S_i, tau, eps=eps)`` call per subset S_i,
-as in "one reducer per subset" of the 2-round MapReduce schema. There is
-one task per slot rather than one per subset because each extra wave of
-Spark Python tasks costs ~0.06 s even for trivial work (DESIGN.md §2);
-the subsets and their coresets do not depend on P. Both task functions
-start with ``lean_worker()``: without it, every task re-reads the zip
-archives on the worker's Python path (pyspark, py4j, the spark-core jar)
-for 0.16–0.25 s. The drivers check ``tau`` and ``eps`` with
-``coreset_rule`` before any pass.
+subset id ``pid`` in [0, ell) (see ``partitioning``), and every subset
+lies whole in one block: ``to_spark`` puts pid i in partition i mod P,
+with P = defaultParallelism. Round 1 is therefore one narrow stage with
+no shuffle: each task slices its block by pid and runs the reducers of
+its pids one after the other, one ``gmm(S_i, tau, eps=eps)`` call per
+subset S_i, as in "one reducer per subset" of the 2-round MapReduce
+schema. There is one task per slot rather than one per subset because
+each extra wave of Spark Python tasks costs ~0.06 s even for trivial work
+(DESIGN.md §2); the subsets and their coresets do not depend on P. The
+task function starts with ``lean_worker()``: without it, every task
+re-reads the zip archives on the worker's Python path (pyspark, py4j, the
+spark-core jar) for 0.16–0.25 s. The drivers check ``tau`` and ``eps``
+with ``coreset_rule`` before any pass.
 
 Within a subset, points are sorted by ``id`` before running GMM, so the
-coresets depend only on the pid assignment, not on how the input is cut
-into blocks or on the order in which the shuffle delivers sub-blocks
-(GMM's output depends on input order through the arbitrary first center).
+coresets depend only on the pid assignment, not on how the rows are
+ordered inside a block or which block holds a subset (GMM's output
+depends on input order through the arbitrary first center). A subset
+split across blocks would reach two reducers; ``run_round1`` rejects the
+output if one pid comes back twice.
 
 The union of the weighted coresets is returned as driver-side numpy
 arrays, ordered by pid and then lexicographically by coordinates, which is
@@ -28,7 +30,6 @@ into a single reducer").
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 
@@ -79,50 +80,34 @@ class Round1Result:
         return len(self.points)
 
 
-def _split_by_pid(block):
-    """Map side: one sub-block ``(pid, (ids, X))`` per pid in ``block``."""
+def _block_coresets(block, tau: int, eps: float | None):
+    """One task: each subset of ``block`` in id order, and its coreset.
+    Yields ``(pid, coreset points, weights, |S_pid|)``."""
     lean_worker()
     ids, pids, X = block
-    for pid in np.unique(pids):
-        sel = pids == pid
-        yield int(pid), (ids[sel], X[sel])
-
-
-def _subset_coresets(it, tau: int, eps: float | None):
-    """Reduce side: gather the sub-blocks of each pid routed to this task,
-    sort the subset by id and build its coreset. Yields
-    ``(pid, coreset points, weights, |S_pid|)``."""
-    lean_worker()
-    subsets: dict[int, list] = defaultdict(list)
-    for pid, sub in it:
-        subsets[pid].append(sub)
-    for pid, subs in subsets.items():
-        ids = np.concatenate([i for i, _ in subs])
-        order = np.argsort(ids, kind="stable")
-        X = np.concatenate([x for _, x in subs])[order]
-        centers, weights = build_coreset(X, tau, eps)
-        yield pid, centers, weights, len(X)
+    order = np.lexsort((ids, pids))  # by pid, then id
+    present, starts = np.unique(pids[order], return_index=True)
+    for pid, rows in zip(present, np.split(order, starts[1:])):
+        centers, weights = build_coreset(X[rows], tau, eps)
+        yield int(pid), centers, weights, len(rows)
 
 
 def run_round1(
     blocks: RDD, ell: int, tau: int, eps: float | None = None
 ) -> Round1Result:
     """Execute round 1 over ``blocks`` (an RDD of ``(ids, pids, X)``
-    blocks) and collect the union of the weighted coresets at the driver,
-    each built by ``build_coreset(S_i, tau, eps)``. ``part_sizes`` has an
-    entry for every pid in [0, ell), 0 for a subset that received no
-    point."""
-    tasks = min(ell, blocks.context.defaultParallelism)
-    out = (
-        blocks.flatMap(_split_by_pid)
-        .partitionBy(tasks, lambda pid: pid)
-        .mapPartitions(partial(_subset_coresets, tau=tau, eps=eps))
-        .collect()
-    )
+    blocks, each subset whole in one block, as ``to_spark`` lays them out)
+    and collect the union of the weighted coresets at the driver, each
+    built by ``build_coreset(S_i, tau, eps)``. ``part_sizes`` has an entry
+    for every pid in [0, ell), 0 for a subset that received no point.
+    Raises ``ValueError`` if a subset came back from two blocks."""
+    out = blocks.flatMap(partial(_block_coresets, tau=tau, eps=eps)).collect()
     if not out:
         raise ValueError("round 1 produced an empty coreset union")
-    # Deterministic driver-side order regardless of shuffle arrival order.
     out.sort(key=lambda r: r[0])
+    for a, b in zip(out, out[1:]):
+        if a[0] == b[0]:
+            raise ValueError(f"subset {a[0]} arrived split across blocks")
     part_sizes = dict.fromkeys(range(ell), 0)
     points, weights, pids = [], [], []
     for pid, C, w, size in out:

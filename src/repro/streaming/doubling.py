@@ -89,6 +89,9 @@ class DoublingCoreset:
         A gap of 0 means duplicates: they are folded first (a fold within
         4*phi needs phi > 0), and phi stays 0 if that alone restores |T| <=
         tau. That fold reads the gap's D, so it drops a center: the loop ends.
+        Coordinates of 1e154 and up overflow the squared norms, and no fold
+        of the NaN/inf D drops a center: a phi that is not finite after a
+        doubling raises ``ValueError`` instead of doubling forever.
         """
         while True:
             T = self._pts[: self._m]
@@ -103,6 +106,8 @@ class DoublingCoreset:
                 self.phi = gap / 2.0
             self.phi *= 2.0
             self.doublings += 1
+            if not np.isfinite(self.phi):
+                raise ValueError(f"phi = {self.phi}: distances overflow")
             self._fold(D, 4.0 * self.phi)
             if self._m <= self.tau:
                 return

@@ -163,6 +163,33 @@ class TestSparkConversion:
             pts=points_table(X, pids),
         )
 
+    @pytest.mark.parametrize("ell", [1, 3, 4, 9])
+    def test_subsets_in_their_reducers_block(self, spark, ell):
+        """Partition p holds one block with every point whose pid is p mod
+        P, in (pid, id) order, for ell below, equal to and above P."""
+        X = ds.higgs_like(300, seed=ell)
+        pids = np.random.default_rng(ell).integers(0, ell, 300)
+        splits = spark.sparkContext.defaultParallelism
+        parts = ds.to_spark(spark, X, pids=pids).glom().collect()
+        assert len(parts) == splits
+        for p, [(ids, bp, Xb)] in enumerate(parts):
+            mine = np.flatnonzero(pids % splits == p)  # by id
+            mine = mine[np.argsort(pids[mine], kind="stable")]  # (pid, id)
+            np.testing.assert_array_equal(ids, mine)
+            np.testing.assert_array_equal(bp, pids[ids])
+            np.testing.assert_array_equal(Xb, X[ids])
+
+    @pytest.mark.parametrize(
+        "pids",
+        [np.zeros(11), np.zeros(9), np.zeros((10, 1)), np.r_[np.zeros(9), -1]],
+        ids=["longer", "shorter", "2-d", "negative"],
+    )
+    def test_bad_pids_rejected_before_spark(self, pids):
+        """``spark`` is a bare object here, so anything that reached Spark
+        would raise AttributeError instead."""
+        with pytest.raises(ValueError, match="pids"):
+            ds.to_spark(object(), ds.higgs_like(10), pids=pids)
+
     def test_fewer_points_than_splits(self, spark):
         """n below the number of splits leaves some blocks empty; the
         round trip still returns every point."""

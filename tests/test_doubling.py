@@ -1,5 +1,7 @@
 """Tests for repro.streaming.doubling — the weighted doubling algorithm's
 invariants (a)-(e) of Section 4, checked after every processed point."""
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,26 @@ class TestMechanics:
         dc = DoublingCoreset(3, 2)
         with pytest.raises(ValueError):
             dc.update([1.0, 2.0, 3.0])
+
+    def test_overflowing_input_raises_promptly(self):
+        """Coordinates of 1e200 overflow the squared norms, so every merge
+        distance is NaN or inf and no fold drops a center. The merge rule
+        raises instead of doubling phi forever (SIGALRM stops a hang)."""
+        X = 1e200 * np.random.default_rng(0).standard_normal((200, 2))
+
+        def hang(*_):
+            raise TimeoutError("the merge rule kept doubling phi")
+
+        prev = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(10)
+        try:
+            with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match="phi"
+            ):
+                DoublingCoreset(12, 2).process(X)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, prev)
 
     def test_invalid_tau(self):
         with pytest.raises(ValueError):

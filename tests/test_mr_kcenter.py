@@ -1,11 +1,14 @@
 """Integration tests for the 2-round MapReduce k-center algorithm
 (Section 3.1) on the session SparkSession."""
+import uuid
+
 import numpy as np
 import pytest
 
 from repro.core.gmm import gmm
 from repro.core.metric import brute_force_kcenter, radius
 from repro.data.datasets import to_spark
+from repro.mapreduce.evaluate import radius_spark
 from repro.mapreduce.kcenter import mr_kcenter
 from repro.mapreduce.partitioning import make_pids
 from repro.mapreduce.round1 import Round1Result, coreset_rule, run_round1
@@ -116,11 +119,32 @@ class TestRound1:
         self, spark, blobs4, rule
     ):
         """Each reducer sorts its subset by id, so round 1 depends only on
-        the pid assignment: not on the input's row order, how it is cut
-        into blocks or the order in which the shuffle delivers them."""
+        the pid assignment: not on the row order inside a block or on
+        which block holds a subset, as long as each subset is whole in one
+        block."""
+        pids = make_pids(len(blobs4), 4, "random", seed=3)
+        g = np.random.default_rng(5)
+        moved = spark.sparkContext.parallelize(
+            [
+                (rows.astype(np.int64), pids[rows].astype(np.int32),
+                 blobs4[rows])
+                for rows in (
+                    g.permutation(np.flatnonzero(np.isin(pids, group)))
+                    for group in ([2], [0, 3], [], [1])
+                )
+            ],
+            4,
+        )
+        a = run_round1(to_spark(spark, blobs4, pids=pids), 4, *rule)
+        b = run_round1(moved, 4, *rule)
+        _assert_same_round1(a, b)
+
+    def test_split_subset_rejected(self, spark, blobs4):
+        """A subset cut across blocks would reach two reducers and come
+        back twice: round 1 raises instead of returning both coresets."""
         pids = make_pids(len(blobs4), 4, "random", seed=3)
         perm = np.random.default_rng(5).permutation(len(blobs4))
-        moved = spark.sparkContext.parallelize(
+        split = spark.sparkContext.parallelize(
             [
                 (rows.astype(np.int64), pids[rows].astype(np.int32),
                  blobs4[rows])
@@ -128,9 +152,33 @@ class TestRound1:
             ],
             7,
         )
-        a = run_round1(to_spark(spark, blobs4, pids=pids), 4, *rule)
-        b = run_round1(moved, 4, *rule)
-        _assert_same_round1(a, b)
+        with pytest.raises(ValueError, match="split across blocks"):
+            run_round1(split, 4, 8)
+
+    def test_one_stage_per_job(self, spark, blobs4):
+        """Round 1 and the distributed radius each run one Spark job of a
+        single stage (no shuffle), with one task per partition."""
+        sc = spark.sparkContext
+        tracker = sc.statusTracker()
+        pids = make_pids(len(blobs4), 8, "random", seed=4)
+        blocks = to_spark(spark, blobs4, pids=pids)
+
+        def stages_of(fn):
+            group = f"one-stage-{uuid.uuid4().hex}"
+            sc.setJobGroup(group, group)
+            try:
+                out = fn()
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+            jobs = tracker.getJobIdsForGroup(group)
+            return out, [list(tracker.getJobInfo(j).stageIds) for j in jobs]
+
+        r1, round1_jobs = stages_of(lambda: run_round1(blocks, 8, 8))
+        _, radius_jobs = stages_of(lambda: radius_spark(blocks, r1.points))
+        for jobs in (round1_jobs, radius_jobs):
+            assert len(jobs) == 1 and len(jobs[0]) == 1, jobs
+            stage = tracker.getStageInfo(jobs[0][0])
+            assert stage.numTasks == sc.defaultParallelism
 
     @pytest.mark.parametrize("ell", [1, 3, 4, 8, 16])
     def test_matches_spark_free_reference(self, spark, ell):

@@ -29,15 +29,17 @@ COUNTS_SQL = "SELECT pid AS pid, count(*) AS n FROM pts GROUP BY pid"
 def run(spark):
     """Round 1 over higgs_like(3000) plus 50 outliers in ELL random subsets,
     and K centers by GMM on the coreset union, as ``mr_kcenter`` picks them.
-    The outliers come last, so the largest distances all lie in the last
-    input block: a block that keeps too few of them changes the radius."""
-    X, _ = add_outliers(higgs_like(3000, seed=60), 50, seed=60)
+    ``to_spark`` places each subset whole in one block, so the outliers are
+    spread over the blocks here; ``TestAdversarialBlock`` puts all of them
+    in one block."""
+    X, mask = add_outliers(higgs_like(3000, seed=60), 50, seed=60)
     pids = make_pids(len(X), ELL, "random", seed=60)
     blocks = to_spark(spark, X, pids=pids)
     r1 = run_round1(blocks, ELL, TAU)
     centers = gmm(r1.points, K).centers(r1.points)
     return SimpleNamespace(
-        X=X, blocks=blocks, r1=r1, centers=centers, pts=points_table(X, pids)
+        X=X, mask=mask, blocks=blocks, r1=r1, centers=centers,
+        pts=points_table(X, pids),
     )
 
 
@@ -119,6 +121,35 @@ class TestDistributedEvaluator:
     def test_radius_spark_matches_local(self, run, z):
         assert radius_spark(run.blocks, run.centers, z=z) == pytest.approx(
             radius(run.X, run.centers, z), rel=1e-9
+        )
+
+
+class TestAdversarialBlock:
+    """The adversarial partition puts every outlier in subset 0, so one
+    block holds all 50 of the largest distances: a block that keeps too
+    few of its own top distances changes the radius."""
+
+    @pytest.fixture(scope="class")
+    def blocks(self, spark, run):
+        pids = make_pids(len(run.X), ELL, "adversarial", outlier_mask=run.mask)
+        blocks = to_spark(spark, run.X, pids=pids)
+        held = [int(run.mask[ids].sum()) for ids, _, _ in blocks.collect()]
+        assert max(held) == sum(held) == 50
+        return blocks
+
+    def test_top_distances_vs_sql(self, run, blocks):
+        for m, tail in [(len(run.X), ""), (10, "LIMIT 10"), (51, "LIMIT 51")]:
+            np.testing.assert_allclose(
+                top_distances(blocks, run.centers, m),
+                sql_distances(run, run.centers, tail),
+                rtol=1e-9,
+            )
+
+    @pytest.mark.parametrize("z", [0, 1, 49, 50])
+    def test_radius_spark_vs_sql(self, run, blocks, z):
+        (r,) = sql_distances(run, run.centers, f"LIMIT 1 OFFSET {z}")
+        assert radius_spark(blocks, run.centers, z) == pytest.approx(
+            r, rel=1e-9
         )
 
 
