@@ -12,5 +12,6 @@
                       a geometric (1+delta) grid or over the exact pairwise
                       distances, and the CHARIKARETAL sequential baseline
                       built on it.
+``result``            ``Result``, the record every algorithm entry returns.
 """
 from repro.core import gmm, metric, outliers_cluster, search  # noqa: F401

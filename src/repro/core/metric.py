@@ -43,15 +43,22 @@ def as_points(x) -> np.ndarray:
 
 
 def finite_points(x) -> np.ndarray:
-    """``as_points`` plus a check that every coordinate is finite.
+    """``as_points`` for an algorithm's input: a non-empty ``(n, d)``
+    array whose every coordinate is finite, or ``ValueError``.
 
     A NaN or infinite coordinate poisons every distance it touches: the
     streaming guess and merge rules then double forever and the searches
-    return degenerate answers. Each public algorithm entry point calls this
-    once on its input; the per-point primitives (``as_points``, ``cdist``)
-    stay unchecked.
+    return degenerate answers. A 1-D array is rejected rather than read as
+    one point, and an empty one with the same error at every entry point.
+    Each public algorithm entry point calls this once on its input; the
+    per-point primitives (``as_points``, ``cdist``) stay unchecked.
     """
-    a = as_points(x)
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"points must be 2-D (n, d), got shape {a.shape}")
+    if not len(a):
+        raise ValueError("empty point set")
+    a = as_points(a)
     if not np.isfinite(a).all():
         raise ValueError("points contain NaN or infinite coordinates")
     return a

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.core.metric import as_points, cdist, check_kz, finite_points
 from repro.core.outliers_cluster import OutliersClusterResult, outliers_cluster
+from repro.core.result import Clock, Result
 
 
 @dataclass(frozen=True)
@@ -159,12 +160,17 @@ def min_feasible_radius_exact(
     return _search(T, weights, k, z, eps_hat, 0.0)
 
 
-def charikar(points, k: int, z: int) -> RadiusSearchResult:
+def charikar(points, k: int, z: int) -> Result:
     """CHARIKARETAL [16]: the sequential 3-approximation for k-center with
     z outliers — OutliersCluster with eps_hat = 0 and unit weights over the
     whole input, binary-searched over all pairwise distances.
     """
+    clock = Clock()
     points = finite_points(points)
-    return min_feasible_radius_exact(
+    clock.lap("setup")
+    search = min_feasible_radius_exact(
         points, np.ones(len(points)), k, z, eps_hat=0.0
     )
+    centers = search.centers(points)
+    clock.lap("search")
+    return Result(centers, clock.timings, search=search)

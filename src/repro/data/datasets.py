@@ -189,8 +189,9 @@ def to_spark(spark: SparkSession, points, *, pids=None) -> RDD:
     subset whole in its reducer's block.
 
     ``pids`` (default 0) are the round-1 subset ids (see
-    ``repro.mapreduce.partitioning``), one non-negative int per point; a
-    wrong shape or a negative entry raises ``ValueError`` before Spark is
+    ``repro.mapreduce.partitioning``), one non-negative int32 value per
+    point; a wrong shape, a non-integer, a negative entry or one past the
+    int32 range raises ``ValueError`` before the cast and before Spark is
     touched. There are ``defaultParallelism`` = P partitions of one block
     each (empty if no pid maps there). Partition p holds every point whose
     pid is p mod P, in (pid, id) order from one stable argsort of the
@@ -200,13 +201,14 @@ def to_spark(spark: SparkSession, points, *, pids=None) -> RDD:
     """
     points = as_points(points)
     n = len(points)
-    if pids is None:
-        pids = np.zeros(n, dtype=np.int32)
-    pids = np.asarray(pids, dtype=np.int32)
+    pids = np.zeros(n, dtype=np.int32) if pids is None else np.asarray(pids)
     if pids.shape != (n,):
         raise ValueError(f"pids must have shape ({n},), got {pids.shape}")
-    if (pids < 0).any():
-        raise ValueError("pids must be non-negative")
+    if pids.dtype.kind not in "iuf" or (pids != np.trunc(pids)).any():
+        raise ValueError("pids must be integers")
+    if ((pids < 0) | (pids > np.iinfo(np.int32).max)).any():
+        raise ValueError("pids must be non-negative and fit in int32")
+    pids = pids.astype(np.int32)
     sc = spark.sparkContext
     splits = sc.defaultParallelism
     order = np.argsort(pids, kind="stable")  # rows by (pid, id)

@@ -22,7 +22,6 @@ import json
 import math
 import os
 import subprocess
-import time
 from dataclasses import dataclass, fields, replace
 from typing import Callable
 
@@ -31,6 +30,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.metric import radius
+from repro.core.result import Result
 from repro.core.search import charikar
 from repro.data.datasets import DATASETS, add_outliers, inflate
 from repro.mapreduce.kcenter import mr_kcenter
@@ -115,15 +115,32 @@ def grid(**axes) -> tuple[dict, ...]:
     )
 
 
-def _result_fields(res) -> dict:
-    """Every field of an algorithm's result record except its centers."""
-    return {f.name: getattr(res, f.name) for f in fields(res)
-            if f.name != "centers"}
+def _row(c: Cell, res: Result) -> dict:
+    """The one flattening of an entry point's record into a sweep row: its
+    fields but the centers, the search's r, evaluations and trace, and the
+    committed CSVs' time columns from ``res.timings`` (EXPERIMENTS.md
+    lists which layer each column reads). An entry point that evaluates
+    no radius gets the z-radius of its centers over the cell's input."""
+    t, s = res.timings, res.search
+    row = {f: v for f, v in vars(res).items()
+           if v is not None and f not in ("centers", "search")}
+    if res.radius is None:
+        row["radius"] = radius(c.X, res.centers, c.t.z)
+    if s is not None:
+        row.update(r_search=s.r, search_evaluations=s.evaluations,
+                   search_trace=s.trace)
+    if "pass" in t:  # a stream: the pass, then the step on what it kept
+        row.update(t_stream=t["pass"], t_final=t["final"],
+                   throughput=res.n_processed / t["pass"])
+    if "round1" in t:  # round 1 builds the coreset, round 2 solves on it
+        row.update(t_coreset=t["round1"], t_total=t["round1"] + t["round2"])
+        row["t_cluster" if s else "t_final"] = t["round2"]
+    return {**row, "time_s": sum(t.values())}
 
 
 def _mr_kcenter(c: Cell, *, ell: int, mu: int) -> dict:
     res = mr_kcenter(c.spark, c.X, c.k, ell, tau=mu * c.k)
-    return {"tau": mu * c.k, **_result_fields(res)}
+    return {"tau": mu * c.k, **_row(c, res)}
 
 
 def _mr_run(c: Cell, ell: int, tau: int, randomized: bool) -> dict:
@@ -133,11 +150,7 @@ def _mr_run(c: Cell, ell: int, tau: int, randomized: bool) -> dict:
         c.spark, c.X, c.k, c.t.z, ell, tau=tau, randomized=randomized,
         outlier_mask=None if randomized else c.mask, seed=c.seed,
     )
-    return {
-        "tau": tau,
-        **_result_fields(res),
-        "t_total": res.t_coreset + res.t_cluster,
-    }
+    return {"tau": tau, **_row(c, res)}
 
 
 def _mr_outliers(c: Cell, *, variant: str, mu: float, ell: int) -> dict:
@@ -169,32 +182,17 @@ _STREAMS = {
 
 
 def _stream(c: Cell, *, algo: str, param: int) -> dict:
-    res = _STREAMS[algo](c, param)
-    return {"radius": radius(c.X, res.centers, c.t.z), **_result_fields(res)}
+    return _row(c, _STREAMS[algo](c, param))
 
 
 def _sequential(c: Cell, *, mu: int) -> dict:
     """mu = 0 is CHARIKARETAL on the whole input; mu >= 1 the coreset
     pipeline with ell = 1 and tau = mu*(k+z)."""
     if mu == 0:
-        t0 = time.perf_counter()
-        search = charikar(c.X, c.k, c.t.z)
-        times = {"time_s": time.perf_counter() - t0}
-        centers, algo = search.centers(c.X), "CHARIKARETAL"
-    else:
-        centers, search, t_cs, t_cl = sequential_coreset_outliers(
-            c.X, c.k, c.t.z, tau=mu * (c.k + c.t.z)
-        )
-        algo = "MALKOMESETAL" if mu == 1 else f"OURS(mu={mu})"
-        times = {"time_s": t_cs + t_cl, "t_coreset": t_cs, "t_cluster": t_cl}
-    return {
-        "algo": algo,
-        "radius": radius(c.X, centers, c.t.z),
-        "r_search": search.r,
-        "search_evaluations": search.evaluations,
-        "search_trace": search.trace,
-        **times,
-    }
+        return {"algo": "CHARIKARETAL", **_row(c, charikar(c.X, c.k, c.t.z))}
+    res = sequential_coreset_outliers(c.X, c.k, c.t.z, tau=mu * (c.k + c.t.z))
+    algo = "MALKOMESETAL" if mu == 1 else f"OURS(mu={mu})"
+    return {"algo": algo, **_row(c, res)}
 
 
 # The paper's k per dataset for the no-outlier experiments (Figures 2, 3).

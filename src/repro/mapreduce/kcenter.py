@@ -10,30 +10,15 @@ algorithm *is* the MALKOMESETAL [26] baseline of Figure 2.
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
-import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.gmm import gmm
 from repro.core.metric import finite_points
+from repro.core.result import Clock, Result
 from repro.data.datasets import to_spark
 from repro.mapreduce.evaluate import radius_spark
 from repro.mapreduce.partitioning import make_pids
-from repro.mapreduce.round1 import Round1Result, coreset_rule, run_round1
-
-
-@dataclass(frozen=True)
-class MRKCenterResult:
-    """Final centers plus the bookkeeping the experiments report."""
-
-    centers: np.ndarray  # (k, d)
-    radius: float  # r_T(S) over the full input (distributed)
-    coreset_size: int  # |T| = size of the union of coresets
-    part_sizes: dict[int, int]
-    t_coreset: float  # round-1 wall time (one Spark stage, no shuffle)
-    t_final: float  # round-2 wall time (GMM on T)
+from repro.mapreduce.round1 import coreset_rule, run_round1
 
 
 def mr_kcenter(
@@ -44,32 +29,29 @@ def mr_kcenter(
     *,
     tau: int | None = None,
     eps: float | None = None,
-    partition_mode: str = "contiguous",
-    seed: int = 0,
-) -> MRKCenterResult:
-    """Run the full 2-round algorithm on ``points`` with parallelism ``ell``.
+) -> Result:
+    """Run the full 2-round algorithm on ``points`` with parallelism ``ell``
+    over contiguous subsets.
 
     Exactly one of ``tau`` (fixed per-partition coreset size, >= k) or
-    ``eps`` (the paper's rule, GMM past k centers) must be given.
+    ``eps`` (the paper's rule, GMM past k centers) must be given. The
+    radius is r_T(S) over the full input, computed distributively.
     """
+    clock = Clock()
     points = finite_points(points)
     if not 0 < k < len(points):
         raise ValueError(f"need 0 < k < n, got k={k}, n={len(points)}")
     tau, eps = coreset_rule(tau, eps, k_base=k, tau_min=k)
-    pids = make_pids(len(points), ell, partition_mode, seed=seed)
+    pids = make_pids(len(points), ell)
     blocks = to_spark(spark, points, pids=pids)
-    t0 = time.perf_counter()
-    r1: Round1Result = run_round1(blocks, ell, tau, eps)
-    t1 = time.perf_counter()
-    final = gmm(r1.points, k)
-    centers = final.centers(r1.points)
-    t2 = time.perf_counter()
+    clock.lap("setup")
+    r1 = run_round1(blocks, ell, tau, eps)
+    clock.lap("round1")
+    centers = gmm(r1.points, k).centers(r1.points)
+    clock.lap("round2")
     rad = radius_spark(blocks, centers, z=0)
-    return MRKCenterResult(
-        centers=centers,
-        radius=rad,
-        coreset_size=r1.size,
-        part_sizes=r1.part_sizes,
-        t_coreset=t1 - t0,
-        t_final=t2 - t1,
+    clock.lap("evaluate")
+    return Result(
+        centers, clock.timings, radius=rad, coreset_size=r1.size,
+        coreset_weight=int(r1.weights.sum()), part_sizes=r1.part_sizes,
     )

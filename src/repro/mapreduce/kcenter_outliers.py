@@ -17,40 +17,17 @@ with ``ell = 1, mu = 1`` it is the MALKOMESETAL [26] baseline of Figure 8.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.metric import check_kz, finite_points
-from repro.core.search import RadiusSearchResult, min_feasible_radius
+from repro.core.result import Clock, Result
+from repro.core.search import min_feasible_radius
 from repro.data.datasets import to_spark
 from repro.mapreduce.evaluate import radius_spark
 from repro.mapreduce.partitioning import make_pids
-from repro.mapreduce.round1 import (
-    Round1Result,
-    build_coreset,
-    coreset_rule,
-    run_round1,
-)
-
-
-@dataclass(frozen=True)
-class MROutliersResult:
-    """Final centers plus the bookkeeping the experiments report."""
-
-    centers: np.ndarray  # (<=k, d)
-    radius: float  # r_{T,Z_T}(S): z-outlier radius over the full input
-    r_search: float  # the feasible radius found by the round-2 search
-    coreset_size: int  # |T|, union of weighted coresets
-    coreset_weight: int  # total weight (must equal |S|)
-    part_sizes: dict[int, int]
-    search_evaluations: int
-    # the search's (r, uncovered_weight, n_centers) per probe, in order
-    search_trace: tuple[tuple[float, float, int], ...]
-    t_coreset: float  # round-1 wall time
-    t_cluster: float  # round-2 wall time (search + OutliersCluster)
+from repro.mapreduce.round1 import build_coreset, coreset_rule, run_round1
 
 
 def randomized_zprime(n: int, z: int, ell: int) -> int:
@@ -83,7 +60,7 @@ def mr_kcenter_outliers(
     randomized: bool = False,
     outlier_mask: np.ndarray | None = None,
     seed: int = 0,
-) -> MROutliersResult:
+) -> Result:
     """Run the full 2-round outliers algorithm with parallelism ``ell``.
 
     Exactly one of ``tau`` (fixed per-partition coreset size, >= k+z, or
@@ -92,8 +69,11 @@ def mr_kcenter_outliers(
     OutliersCluster's ball radii and the search tolerance.
     The partitioning is random for the randomized variant (its guarantee
     needs it), adversarial when ``outlier_mask`` is given (every flagged
-    point in one subset), and contiguous otherwise.
+    point in one subset), and contiguous otherwise. The radius is the
+    z-outlier radius r_{T,Z_T}(S) over the full input, computed
+    distributively.
     """
+    clock = Clock()
     points = finite_points(points)
     n = len(points)
     if not 0 < k < n:
@@ -110,26 +90,18 @@ def mr_kcenter_outliers(
             else "contiguous" if outlier_mask is None else "adversarial")
     pids = make_pids(n, ell, mode, seed=seed, outlier_mask=outlier_mask)
     blocks = to_spark(spark, points, pids=pids)
-    t0 = time.perf_counter()
-    r1: Round1Result = run_round1(blocks, ell, tau, eps)
-    t1 = time.perf_counter()
-    search: RadiusSearchResult = min_feasible_radius(
-        r1.points, r1.weights, k, z, eps_hat
-    )
+    clock.lap("setup")
+    r1 = run_round1(blocks, ell, tau, eps)
+    clock.lap("round1")
+    search = min_feasible_radius(r1.points, r1.weights, k, z, eps_hat)
     centers = search.centers(r1.points)
-    t2 = time.perf_counter()
+    clock.lap("round2")
     rad = radius_spark(blocks, centers, z=z)
-    return MROutliersResult(
-        centers=centers,
-        radius=rad,
-        r_search=search.r,
-        coreset_size=r1.size,
-        coreset_weight=int(r1.weights.sum()),
-        part_sizes=r1.part_sizes,
-        search_evaluations=search.evaluations,
-        search_trace=search.trace,
-        t_coreset=t1 - t0,
-        t_cluster=t2 - t1,
+    clock.lap("evaluate")
+    return Result(
+        centers, clock.timings, radius=rad, coreset_size=r1.size,
+        coreset_weight=int(r1.weights.sum()), part_sizes=r1.part_sizes,
+        search=search,
     )
 
 
@@ -141,20 +113,23 @@ def sequential_coreset_outliers(
     tau: int | None = None,
     eps: float | None = None,
     eps_hat: float = 0.05,
-) -> tuple[np.ndarray, RadiusSearchResult, float, float]:
+) -> Result:
     """The paper's improved sequential algorithm: the ell = 1 MapReduce
     strategy run without Spark (used by the Figure 8 / T7 harness, where
     all competitors are sequential and must be timed on equal footing).
     Exactly one of ``tau`` (>= k+z) or ``eps`` must be given.
-
-    Returns ``(centers, search_result, t_coreset, t_cluster)``.
     """
+    clock = Clock()
     check_kz(k, z)
     tau, eps = coreset_rule(tau, eps, k_base=k + z, tau_min=k + z)
     points = finite_points(points)
-    t0 = time.perf_counter()
+    clock.lap("setup")
     T, w = build_coreset(points, tau, eps)
-    t1 = time.perf_counter()
+    clock.lap("round1")
     search = min_feasible_radius(T, w, k, z, eps_hat)
-    t2 = time.perf_counter()
-    return search.centers(T), search, t1 - t0, t2 - t1
+    centers = search.centers(T)
+    clock.lap("round2")
+    return Result(
+        centers, clock.timings, coreset_size=len(T),
+        coreset_weight=int(w.sum()), search=search,
+    )

@@ -100,11 +100,14 @@ def run_round1(
     and collect the union of the weighted coresets at the driver, each
     built by ``build_coreset(S_i, tau, eps)``. ``part_sizes`` has an entry
     for every pid in [0, ell), 0 for a subset that received no point.
-    Raises ``ValueError`` if a subset came back from two blocks."""
+    Raises ``ValueError`` if a subset came back from two blocks, or if a
+    block held a pid outside [0, ell)."""
     out = blocks.flatMap(partial(_block_coresets, tau=tau, eps=eps)).collect()
     if not out:
         raise ValueError("round 1 produced an empty coreset union")
     out.sort(key=lambda r: r[0])
+    if out[-1][0] >= ell:
+        raise ValueError(f"subset {out[-1][0]} is outside [0, {ell})")
     for a, b in zip(out, out[1:]):
         if a[0] == b[0]:
             raise ValueError(f"subset {a[0]} arrived split across blocks")

@@ -8,8 +8,8 @@ working set.
 ``doubling``          the paper's weighted variant of the Charikar et al.
                       doubling algorithm — the coreset construction
                       maintaining invariants (a)-(e).
-``coreset_stream``    CORESETSTREAM: k-center without outliers (coreset of
-                      size tau = mu*k, then GMM).
+``coreset_stream``    the pass both coreset streams make, and CORESETSTREAM:
+                      k-center without outliers (tau = mu*k, then GMM).
 ``coreset_outliers``  CORESETOUTLIERS: k-center with z outliers (weighted
                       coreset of size tau = mu*(k+z), then OutliersCluster
                       under the minimum-radius search).
@@ -18,8 +18,8 @@ working set.
 ``base_outliers``     BASEOUTLIERS [27]: (4+eps) guess-based streaming
                       k-center with outliers, m instances of O(k*z) space.
 ``two_pass``          the 2-pass D-oblivious variant (Section 4, end).
-``common``            ``StreamResult``, the block scan, the greedy cover and
-                      the baselines' shared seeding and guess ladder.
+``common``            the block scan, the greedy cover and the baselines'
+                      shared seeding and guess ladder.
 """
 from repro.streaming import (  # noqa: F401
     base_outliers,

@@ -28,10 +28,11 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.metric import cdist, finite_points
+from repro.core.metric import cdist
+from repro.core.result import Result
 from repro.core.search import charikar
 from repro.streaming import common
-from repro.streaming.common import StreamResult, guess_ladder_stream
+from repro.streaming.common import guess_ladder_stream
 
 
 @dataclass
@@ -103,19 +104,17 @@ def _complete(best: _OutlierInstance, k: int, z: int) -> np.ndarray:
     """Offline completion on the O(k*z) stored points: [16] yields the
     final k centers."""
     stored = best.stored_points()
-    search = charikar(stored, k, min(z, max(0, len(stored) - 1)))
-    return search.centers(stored)
+    return charikar(stored, k, min(z, max(0, len(stored) - 1))).centers
 
 
 def base_stream_outliers(
     points, k: int, z: int, *, m: int = 1
-) -> StreamResult:
+) -> Result:
     """Run BASEOUTLIERS with ``m`` parallel instances (space m*(k*z+z+k)).
 
     Seeding mirrors BASESTREAM: buffer until k+z+1 distinct points fix the
     distance scale, then start instances on the geometric ladder g * 2^(i/m).
     """
-    points = finite_points(points)
     if z < 1:
         raise ValueError("z must be >= 1 (use base_stream_kcenter for z=0)")
     return guess_ladder_stream(

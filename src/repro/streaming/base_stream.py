@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.metric import cdist, finite_points
+from repro.core.metric import cdist
+from repro.core.result import Result
 from repro.streaming import common
-from repro.streaming.common import StreamResult, guess_ladder_stream
+from repro.streaming.common import guess_ladder_stream
 
 
 @dataclass
@@ -59,7 +60,7 @@ class _Instance:
         self.centers = [c for i, c in enumerate(self.centers) if owner[i] == i]
 
 
-def base_stream_kcenter(points, k: int, *, m: int = 1) -> StreamResult:
+def base_stream_kcenter(points, k: int, *, m: int = 1) -> Result:
     """Run BASESTREAM with ``m`` parallel instances (space m*k).
 
     Instances are seeded after the first k+1 distinct points with guesses
@@ -67,7 +68,7 @@ def base_stream_kcenter(points, k: int, *, m: int = 1) -> StreamResult:
     gives a finer guess and a tighter radius.
     """
     return guess_ladder_stream(
-        finite_points(points), k, m,
+        points, k, m,
         seed_size=k + 1,
         new_instance=lambda r: _Instance(k=k, r=r),
         finish=lambda best: np.asarray(best.centers),

@@ -1,17 +1,16 @@
-"""What the streaming algorithms share: the result record, the block scan
-of the update rule, the greedy cover behind the doubling merge rule and
-BASESTREAM's re-clustering, and the [27] seeding and guess ladder of the
-two baselines (BASESTREAM, BASEOUTLIERS).
+"""What the streaming algorithms share: the block scan of the update
+rule, the greedy cover behind the doubling merge rule and BASESTREAM's
+re-clustering, and the [27] seeding and guess ladder of the two baselines
+(BASESTREAM, BASEOUTLIERS).
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.core.metric import cdist, check_kz, min_gap, nearest
+from repro.core.metric import cdist, check_kz, finite_points, min_gap, nearest
+from repro.core.result import Clock, Result
 
 # Stream rows whose nearest centers ``scan`` finds in a single
 # ``metric.nearest`` call. A larger block wastes more rows after a point
@@ -74,37 +73,8 @@ def greedy_cover(D: np.ndarray, thresh: float) -> np.ndarray:
     return owner
 
 
-@dataclass(frozen=True)
-class StreamResult:
-    """Centers plus the metrics the streaming experiments report."""
-
-    centers: np.ndarray
-    space: int  # peak number of stored points (the "space" axis of Figs 3/5)
-    throughput: float  # points / second over the pass
-    n_processed: int
-    t_stream: float  # time spent consuming the stream
-    t_final: float  # post-pass computation on the working memory
-
-    @classmethod
-    def timed(
-        cls, centers, space: int, n_processed: int, t0: float, t1: float,
-        t2: float,
-    ) -> "StreamResult":
-        """Record a run whose pass spans [t0, t1] and whose post-pass step
-        spans [t1, t2]."""
-        dt = t1 - t0
-        return cls(
-            centers=centers,
-            space=space,
-            throughput=n_processed / dt if dt > 0 else float("inf"),
-            n_processed=n_processed,
-            t_stream=dt,
-            t_final=t2 - t1,
-        )
-
-
 def guess_ladder_stream(
-    points: np.ndarray,
+    points,
     k: int,
     m: int,
     *,
@@ -112,8 +82,9 @@ def guess_ladder_stream(
     new_instance: Callable[[float], object],
     finish: Callable[[object], np.ndarray],
     space: int,
-) -> StreamResult:
-    """Run ``m`` guess-based instances of a [27] baseline over ``points``.
+) -> Result:
+    """Run ``m`` guess-based instances of a [27] baseline over ``points``
+    (checked with ``finite_points``).
 
     Points are buffered until ``seed_size`` of them are distinct; the
     minimum gap g between the distinct buffered points fixes the distance
@@ -132,11 +103,13 @@ def guess_ladder_stream(
     distinct points with a positive gap arrive), the first k distinct
     buffered points in sorted order are returned.
     """
+    clock = Clock()
     check_kz(k)
     if m < 1:
         raise ValueError("m must be >= 1")
+    points = finite_points(points)
     n = len(points)
-    t0 = time.perf_counter()
+    clock.lap("setup")
     distinct: dict[bytes, np.ndarray] = {}  # first occurrences, in order
     instances: list = []
     for p in points:
@@ -154,12 +127,12 @@ def guess_ladder_stream(
                 ]
                 break
     if not instances:
-        uniq = np.unique(points, axis=0)
-        t1 = time.perf_counter()
-        return StreamResult.timed(uniq[:k], n, n, t0, t1, t1)
-    for inst in instances:
-        inst.process(points)
-    t1 = time.perf_counter()
-    centers = finish(min(instances, key=lambda inst: inst.r))
-    t2 = time.perf_counter()
-    return StreamResult.timed(centers, space, n, t0, t1, t2)
+        centers, space = np.unique(points, axis=0)[:k], n
+        clock.lap("pass")
+    else:
+        for inst in instances:
+            inst.process(points)
+        clock.lap("pass")
+        centers = finish(min(instances, key=lambda inst: inst.r))
+    clock.lap("final")
+    return Result(centers, clock.timings, space=space, n_processed=n)

@@ -7,34 +7,44 @@ Space O(tau); approximation (2+eps) for tau = k*(1/eps)^D.
 """
 from __future__ import annotations
 
-import time
-
 from repro.core.gmm import gmm
 from repro.core.metric import check_kz, finite_points
-from repro.streaming.common import StreamResult
+from repro.core.result import Clock, Result
 from repro.streaming.doubling import DoublingCoreset
 
 
+def doubling_stream(points, k: int, z: int, tau: int | None, final) -> Result:
+    """The one pass both coreset streams make: the weighted doubling
+    coreset with budget ``tau`` (default k+z, at least k+z) over
+    ``points``, then ``final(T, w)``, which returns ``(centers, search)``
+    for the final coreset T and its weights w."""
+    clock = Clock()
+    check_kz(k, z)
+    points = finite_points(points)
+    tau = k + z if tau is None else tau
+    if tau < k + z:
+        raise ValueError(f"tau must be >= {k + z}, got {tau}")
+    coreset = DoublingCoreset(tau, points.shape[1])
+    clock.lap("setup")
+    coreset.process(points)
+    clock.lap("pass")
+    T, w, _ = coreset.finalize()
+    centers, search = final(T, w)
+    clock.lap("final")
+    return Result(
+        centers, clock.timings, coreset_size=len(T),
+        coreset_weight=int(w.sum()), space=coreset.peak_size,
+        n_processed=coreset.n_processed, search=search,
+    )
+
+
 def coreset_stream_kcenter(points, k: int, *,
-                           tau: int | None = None) -> StreamResult:
+                           tau: int | None = None) -> Result:
     """Run CORESETSTREAM over ``points`` (the simulated stream, in order).
 
     ``tau`` defaults to k; the Figure 3 sweep passes tau = mu*k for mu in
     {1, 2, 4, 8, 16}.
     """
-    check_kz(k)
-    points = finite_points(points)
-    tau = k if tau is None else tau
-    if tau < k:
-        raise ValueError(f"tau must be >= k, got tau={tau}, k={k}")
-    coreset = DoublingCoreset(tau, points.shape[1])
-    t0 = time.perf_counter()
-    coreset.process(points)
-    t1 = time.perf_counter()
-    T, _, _ = coreset.finalize()
-    final = gmm(T, k)
-    centers = final.centers(T)
-    t2 = time.perf_counter()
-    return StreamResult.timed(
-        centers, coreset.peak_size, coreset.n_processed, t0, t1, t2
+    return doubling_stream(
+        points, k, 0, tau, lambda T, w: (gmm(T, k).centers(T), None)
     )

@@ -13,14 +13,12 @@ running the weighted [16] search on T gives a (3+eps)-approximation with
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.metric import check_kz, finite_points
+from repro.core.result import Clock, Result
 from repro.core.search import min_feasible_radius
 from repro.streaming import common
-from repro.streaming.common import StreamResult
 from repro.streaming.doubling import DoublingCoreset
 
 
@@ -54,19 +52,21 @@ def maximal_coreset(
 
 def two_pass_outliers(
     points, k: int, z: int, *, eps: float = 0.6
-) -> StreamResult:
+) -> Result:
     """Run the 2-pass algorithm over ``points`` (streamed twice, in order).
 
     ``eps`` is the overall precision (the algorithm uses eps_hat = eps/6
-    internally, as in Theorem 3).
+    internally, as in Theorem 3). ``n_processed`` is 2n: each pass reads
+    all n points.
     """
+    clock = Clock()
     check_kz(k, z)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     points = finite_points(points)
     n, d = points.shape
     eps_hat = eps / 6.0
-    t0 = time.perf_counter()
+    clock.lap("setup")
 
     # Pass 1: doubling algorithm for (k+z)-center -> r_hat = 8*phi.
     first = DoublingCoreset(k + z, d).process(points)
@@ -75,11 +75,13 @@ def two_pass_outliers(
 
     # Pass 2: maximal coreset at separation threshold (eps/48) * r_hat.
     Ta, wa = maximal_coreset(points, (eps / 48.0) * r_hat)
-    t1 = time.perf_counter()
+    clock.lap("pass")
 
     search = min_feasible_radius(Ta, wa, k, z, eps_hat)
     centers = search.centers(Ta)
-    t2 = time.perf_counter()
-    return StreamResult.timed(
-        centers, max(first.peak_size, len(Ta)), 2 * n, t0, t1, t2
+    clock.lap("final")
+    return Result(
+        centers, clock.timings, coreset_size=len(Ta),
+        coreset_weight=int(wa.sum()), space=max(first.peak_size, len(Ta)),
+        n_processed=2 * n, search=search,
     )

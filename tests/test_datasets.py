@@ -181,14 +181,32 @@ class TestSparkConversion:
 
     @pytest.mark.parametrize(
         "pids",
-        [np.zeros(11), np.zeros(9), np.zeros((10, 1)), np.r_[np.zeros(9), -1]],
-        ids=["longer", "shorter", "2-d", "negative"],
+        [np.zeros(11), np.zeros(9), np.zeros((10, 1)), np.r_[np.zeros(9), -1],
+         np.r_[np.zeros(9), 2.7], np.r_[np.zeros(9), np.nan],
+         np.r_[np.zeros(9, dtype=np.int64), 2**32 + 1],
+         np.r_[np.zeros(9, dtype=np.int64), 2**31]],
+        ids=["longer", "shorter", "2-d", "negative", "fractional", "nan",
+             "wraps-positive", "wraps-negative"],
     )
     def test_bad_pids_rejected_before_spark(self, pids):
         """``spark`` is a bare object here, so anything that reached Spark
-        would raise AttributeError instead."""
+        would raise AttributeError instead. A fractional pid or one past
+        the int32 range is rejected before the cast: cast, 2.7 would be
+        subset 2 and 2**32 + 1 subset 1."""
         with pytest.raises(ValueError, match="pids"):
             ds.to_spark(object(), ds.higgs_like(10), pids=pids)
+
+    def test_integral_float_pids_accepted(self, spark):
+        """Floats with integer values are subset ids like the ints."""
+        X = ds.higgs_like(40, seed=3)
+        pids = np.arange(40) % 3
+        for (ia, pa, Xa), (ib, pb, Xb) in zip(
+            ds.to_spark(spark, X, pids=pids).collect(),
+            ds.to_spark(spark, X, pids=pids.astype(np.float64)).collect(),
+        ):
+            np.testing.assert_array_equal(ia, ib)
+            np.testing.assert_array_equal(pa, pb)
+            np.testing.assert_array_equal(Xa, Xb)
 
     def test_fewer_points_than_splits(self, spark):
         """n below the number of splits leaves some blocks empty; the

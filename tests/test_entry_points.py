@@ -1,16 +1,21 @@
-"""Every public algorithm entry point rejects NaN or infinite coordinates
-up front. Unchecked, such input makes the streaming guess and merge rules
-double forever and the searches return degenerate answers.
+"""Every public algorithm entry point returns one ``Result`` record, whose
+timings cover the whole call, and rejects NaN or infinite coordinates, a
+1-D array and an empty point set up front. Unchecked, non-finite input
+makes the streaming guess and merge rules double forever and the searches
+return degenerate answers.
 
 The MapReduce drivers and the sequential path also reject a degenerate
 coreset rule (tau below the paper's bound, eps <= 0, or both tau and eps)
 at the driver, with a ``ValueError``, before the input reaches Spark or
 GMM; and every entry point rejects a bad k, z or eps before it reads its
 input."""
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.gmm import gmm
+from repro.core.result import Result
 from repro.core.search import charikar
 from repro.mapreduce import kcenter, kcenter_outliers
 from repro.mapreduce.kcenter import mr_kcenter
@@ -44,6 +49,75 @@ ENTRY_POINTS = {
     "base_stream_outliers": lambda s, X: base_stream_outliers(X, 3, 5),
     "two_pass_outliers": lambda s, X: two_pass_outliers(X, 3, 5),
 }
+
+
+# Each entry point's timed layers, in order.
+LAYERS = {
+    "mr_kcenter": ["setup", "round1", "round2", "evaluate"],
+    "mr_kcenter_outliers": ["setup", "round1", "round2", "evaluate"],
+    "sequential_coreset_outliers": ["setup", "round1", "round2"],
+    "charikar": ["setup", "search"],
+    "coreset_stream_kcenter": ["setup", "pass", "final"],
+    "coreset_stream_outliers": ["setup", "pass", "final"],
+    "base_stream_kcenter": ["setup", "pass", "final"],
+    "base_stream_outliers": ["setup", "pass", "final"],
+    "two_pass_outliers": ["setup", "pass", "final"],
+}
+# The entry points that build a weighted coreset, whose total weight is n.
+WEIGHTED = {"mr_kcenter", "mr_kcenter_outliers", "sequential_coreset_outliers",
+            "coreset_stream_kcenter", "coreset_stream_outliers",
+            "two_pass_outliers"}
+# The streams and their passes over the input: two-pass reads it twice.
+PASSES = {"coreset_stream_kcenter": 1, "coreset_stream_outliers": 1,
+          "base_stream_kcenter": 1, "base_stream_outliers": 1,
+          "two_pass_outliers": 2}
+SEARCHED = {"mr_kcenter_outliers", "sequential_coreset_outliers", "charikar",
+            "coreset_stream_outliers", "two_pass_outliers"}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_returns_one_record(request, name):
+    X = np.random.default_rng(1).uniform(-1, 1, (200, 2))
+    spark = request.getfixturevalue("spark") if name.startswith("mr_") else None
+    res = ENTRY_POINTS[name](spark, X)
+    assert isinstance(res, Result)
+    assert res.centers.shape[1] == 2 and 1 <= len(res.centers) <= 3
+    assert list(res.timings) == LAYERS[name]
+    assert all(t >= 0 for t in res.timings.values())
+    assert res.coreset_weight == (len(X) if name in WEIGHTED else None)
+    assert res.n_processed == (
+        PASSES[name] * len(X) if name in PASSES else None
+    )
+    assert (res.space is not None) == (name in PASSES)
+    assert (res.radius is not None) == name.startswith("mr_")
+    assert (res.part_sizes is not None) == name.startswith("mr_")
+    assert (res.search is not None) == (name in SEARCHED)
+
+
+@pytest.mark.parametrize("name", ["mr_kcenter", "mr_kcenter_outliers"])
+def test_mr_timings_cover_the_call(spark, name):
+    """The layers of an MR driver's record add up to the wall time of the
+    call, to/from Spark and the distributed radius included."""
+    X = np.random.default_rng(2).uniform(-1, 1, (4000, 3))
+    t0 = time.perf_counter()
+    res = ENTRY_POINTS[name](spark, X)
+    wall = time.perf_counter() - t0
+    assert abs(sum(res.timings.values()) - wall) <= max(0.01 * wall, 0.002)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_rejects_empty_input(name):
+    """Every entry point raises the same error for n = 0; none returns 0
+    centers."""
+    with pytest.raises(ValueError, match="empty point set"):
+        ENTRY_POINTS[name](None, np.empty((0, 2)))
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_rejects_1d_input(name):
+    """A vector of 50 scalars is not read as one 50-D point."""
+    with pytest.raises(ValueError, match="2-D"):
+        ENTRY_POINTS[name](None, np.arange(50.0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -81,7 +81,7 @@ class TestEndToEnd:
 
     def test_timings_populated(self, spark, blobs4):
         res = mr_kcenter(spark, blobs4, k=4, ell=2, tau=8)
-        assert res.t_coreset > 0 and res.t_final >= 0
+        assert res.timings["round1"] > 0 and res.timings["round2"] >= 0
 
 
 def _round1_reference(X, pids, ell, tau, eps):
@@ -212,10 +212,17 @@ class TestRound1:
         pids = make_pids(len(X), 6, "random", seed=1)
         counts = np.bincount(pids, minlength=6)
         assert (counts == 0).any()
-        res = mr_kcenter(spark, X, k=2, ell=6, tau=2,
-                         partition_mode="random", seed=1)
+        res = run_round1(to_spark(spark, X, pids=pids), 6, 2)
         assert res.part_sizes == {p: int(c) for p, c in enumerate(counts)}
         assert sum(res.part_sizes.values()) == len(X)
+
+    def test_pid_outside_ell_rejected(self, spark, blobs4):
+        """A block that holds a pid >= ell makes round 1 raise, instead of
+        reporting a subset ell does not have in ``part_sizes``."""
+        pids = make_pids(len(blobs4), 4, "random", seed=3)
+        pids[:10] = 4
+        with pytest.raises(ValueError, match="outside"):
+            run_round1(to_spark(spark, blobs4, pids=pids), 4, 8)
 
 
 class TestValidation:

@@ -81,14 +81,14 @@ class TestDeterministic:
         pts, mask = blobs_out
         z = int(mask.sum())
         res = mr_kcenter_outliers(spark, pts, k=3, z=z, ell=2, tau=z + 10)
-        assert res.r_search < 10.0  # blob scale, not outlier scale
-        assert res.search_evaluations >= 1
+        assert res.search.r < 10.0  # blob scale, not outlier scale
+        assert res.search.evaluations >= 1
 
     def test_timing_fields(self, spark, blobs_out):
         pts, mask = blobs_out
         z = int(mask.sum())
         res = mr_kcenter_outliers(spark, pts, k=3, z=z, ell=2, tau=z + 10)
-        assert res.t_coreset > 0 and res.t_cluster > 0
+        assert res.timings["round1"] > 0 and res.timings["round2"] > 0
 
 
 class TestRandomized:
@@ -139,11 +139,9 @@ class TestSequentialPath:
         pts, mask = blobs_out
         z = int(mask.sum())
         mr = mr_kcenter_outliers(spark, pts, k=3, z=z, ell=1, tau=z + 10)
-        centers, search, _, _ = sequential_coreset_outliers(
-            pts, 3, z, tau=z + 10
-        )
-        np.testing.assert_allclose(mr.centers, centers)
-        assert mr.r_search == pytest.approx(search.r)
+        seq = sequential_coreset_outliers(pts, 3, z, tau=z + 10)
+        np.testing.assert_allclose(mr.centers, seq.centers)
+        assert mr.search.r == pytest.approx(seq.search.r)
 
     def test_needs_tau_or_eps(self, blobs_out):
         pts, _ = blobs_out
@@ -155,8 +153,6 @@ class TestSequentialPath:
     def test_sequential_quality(self, blobs_out):
         pts, mask = blobs_out
         z = int(mask.sum())
-        centers, _, t_cs, t_cl = sequential_coreset_outliers(
-            pts, 3, z, tau=4 * (3 + z)
-        )
-        assert radius(pts, centers, z) < 5.0
-        assert t_cs > 0 and t_cl > 0
+        res = sequential_coreset_outliers(pts, 3, z, tau=4 * (3 + z))
+        assert radius(pts, res.centers, z) < 5.0
+        assert res.timings["round1"] > 0 and res.timings["round2"] > 0

@@ -100,8 +100,7 @@ class TestExactSearch:
             pts = g.uniform(-1, 1, (9, 2))
             k, z = 2, 2
             opt, _ = brute_force_kcenter_outliers(pts, k, z)
-            res = charikar(pts, k, z)
-            got = radius(pts, pts[res.cluster.centers_idx], z)
+            got = radius(pts, charikar(pts, k, z).centers, z)
             assert got <= 3.0 * opt + 1e-9
 
     @settings(max_examples=20, deadline=None)
@@ -111,15 +110,13 @@ class TestExactSearch:
         pts = g.normal(size=(8, 2))
         k, z = 2, 1
         opt, _ = brute_force_kcenter_outliers(pts, k, z)
-        res = charikar(pts, k, z)
-        got = radius(pts, pts[res.cluster.centers_idx], z)
+        got = radius(pts, charikar(pts, k, z).centers, z)
         assert got <= 3.0 * opt + 1e-9
 
     def test_charikar_excludes_planted_outliers(self, blobs_with_outliers):
         pts, mask = blobs_with_outliers
         z = int(mask.sum())
-        res = charikar(pts, 3, z)
-        C = pts[res.cluster.centers_idx]
+        C = charikar(pts, 3, z).centers
         d, _ = min_dist(pts, C)
         # the z farthest points must be exactly the planted outliers
         far = np.argsort(d)[-z:]
