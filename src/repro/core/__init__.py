@@ -1,7 +1,7 @@
 """Core sequential primitives of the paper.
 
-``metric``            Euclidean distances, (z-outlier) clustering radii,
-                      brute-force optima used as test oracles.
+``metric``            Euclidean distances, (z-outlier) clustering radii and
+                      the input check every entry point makes.
 ``gmm``               Gonzalez's farthest-first traversal, run incrementally
                       for tau centers or, with ``eps``, until the paper's
                       (eps/2)-radius rule holds: the weighted round-1

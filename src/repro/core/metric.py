@@ -5,15 +5,14 @@ distances, so this module is the single place where geometry happens:
 the distance matrix (``cdist``), the nearest-center kernel every block scan
 and ``min_dist`` use (``nearest``: ``cdist``'s row minima and first argmins
 without a square root per entry), clustering radii with and without
-outliers, the closest-pair gap, and tiny brute-force solvers used as exact
-oracles in tests.
+outliers, and the closest-pair gap.
 
 Points are ``float64`` numpy arrays of shape ``(n, d)``; centers are either
 index arrays into a point set or ``(m, d)`` coordinate arrays.
 """
 from __future__ import annotations
 
-from itertools import combinations
+import math
 
 import numpy as np
 
@@ -31,6 +30,10 @@ _CHUNK_ENTRIES = 8_000_000
 # bit of either result.
 _TILE_ENTRIES = 1 << 17
 
+# The least nonzero largest |coordinate| ``finite_points`` accepts: its
+# square, 2**-1022, is the smallest normal float64.
+_MIN_M = 2.0 ** -511
+
 
 def as_points(x) -> np.ndarray:
     """Coerce ``x`` to a C-contiguous ``(n, d)`` float64 array."""
@@ -44,14 +47,23 @@ def as_points(x) -> np.ndarray:
 
 def finite_points(x) -> np.ndarray:
     """``as_points`` for an algorithm's input: a non-empty ``(n, d)``
-    array whose every coordinate is finite, or ``ValueError``.
+    array whose largest |coordinate| M is 0 or lies in
+    ``[2**-511, sqrt(max_float64 / (8d))]``, or ``ValueError``.
 
     A NaN or infinite coordinate poisons every distance it touches: the
     streaming guess and merge rules then double forever and the searches
-    return degenerate answers. A 1-D array is rejected rather than read as
-    one point, and an empty one with the same error at every entry point.
-    Each public algorithm entry point calls this once on its input; the
-    per-point primitives (``as_points``, ``cdist``) stay unchecked.
+    return degenerate answers. So does a finite M out of range. With
+    every |coordinate| at most M, a squared norm is at most d*M^2, the norm
+    sum ``na + nb`` and the doubled product ``2ab`` at most 2d*M^2 each,
+    and ``(na + nb) - 2ab`` at most 4d*M^2: the upper bound keeps that
+    below the largest float64 with a factor 2 to spare. Below 2**-511, M^2
+    is below the smallest normal float64, so squared distances underflow
+    and the points collapse to one.
+
+    A 1-D array is rejected rather than read as one point, and an empty
+    one with the same error at every entry point. Each public algorithm
+    entry point calls this once on its input; the per-point primitives
+    (``as_points``, ``cdist``) stay unchecked.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
@@ -59,8 +71,19 @@ def finite_points(x) -> np.ndarray:
     if not len(a):
         raise ValueError("empty point set")
     a = as_points(a)
-    if not np.isfinite(a).all():
+    # Two reductions, as fast as one isfinite pass and with no n x d
+    # temporary; NaN propagates through both, and +-inf gives m = inf.
+    m = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+    if not math.isfinite(m):
         raise ValueError("points contain NaN or infinite coordinates")
+    d = a.shape[1]
+    hi = math.sqrt(np.finfo(np.float64).max / (8 * max(d, 1)))
+    if m > hi or 0.0 < m < _MIN_M:
+        raise ValueError(
+            f"points' largest |coordinate| is {m:.3g}; at d = {d} it must "
+            f"be 0 or in [{_MIN_M:.3g}, {hi:.3g}], or squared distances "
+            "overflow or underflow float64"
+        )
     return a
 
 
@@ -237,41 +260,3 @@ def min_gap(D: np.ndarray) -> float:
     if n < 2:
         return 0.0
     return float(D.min(where=~np.eye(n, dtype=bool), initial=np.inf))
-
-
-# ---------------------------------------------------------------------------
-# Exact brute-force solvers — test oracles only (exponential in k).
-# ---------------------------------------------------------------------------
-
-def brute_force_kcenter(points, k: int) -> tuple[float, tuple[int, ...]]:
-    """Exact optimal k-center radius r*_k by enumerating center subsets:
-    the z = 0 case below.
-
-    Only viable for tiny instances (n choose k small); used by tests to
-    validate the 2-approximation of GMM and the (2+eps) MR bound.
-    """
-    return brute_force_kcenter_outliers(points, k, 0)
-
-
-def brute_force_kcenter_outliers(
-    points, k: int, z: int
-) -> tuple[float, tuple[int, ...]]:
-    """Exact optimal radius r*_{k,z} with z discardable outliers.
-
-    Enumerates center subsets; for each, the objective is the (z+1)-th
-    largest closest-center distance.
-    """
-    points = as_points(points)
-    n = len(points)
-    if not 0 < k < n:
-        raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
-    if not 0 <= z < n:
-        raise ValueError(f"need 0 <= z < n, got z={z}, n={n}")
-    full = cdist(points, points)
-    best_r, best_c = np.inf, None
-    for comb in combinations(range(n), k):
-        d = full[:, comb].min(axis=1)
-        r = radius_from_distances(d, z)
-        if r < best_r:
-            best_r, best_c = float(r), comb
-    return best_r, best_c

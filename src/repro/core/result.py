@@ -11,7 +11,7 @@ up to the call's wall time. The layers are:
   ``round2`` and ``evaluate`` (the distributed radius);
 * the coreset pipeline with ell = 1: ``setup``, ``round1``, ``round2``;
 * CHARIKARETAL: ``setup`` and ``search``;
-* streams: ``setup``, ``pass`` (every pass over the stream) and ``final``
+* streams: ``setup``, ``pass`` (the one pass over the stream) and ``final``
   (the step on what the pass kept).
 """
 from __future__ import annotations
@@ -36,7 +36,7 @@ class Result:
     coreset_size: int | None = None  # |T|, the set the final step ran on
     coreset_weight: int | None = None  # T's total proxy weight (= n)
     space: int | None = None  # a stream's peak number of stored points
-    n_processed: int | None = None  # stream points read, over every pass
+    n_processed: int | None = None  # stream points read (= n)
     part_sizes: dict[int, int] | None = None  # |S_i| per round-1 subset
     search: RadiusSearchResult | None = None  # the radius search, if any
 

@@ -17,7 +17,6 @@ working set.
                       k-center, m parallel instances of k centers each.
 ``base_outliers``     BASEOUTLIERS [27]: (4+eps) guess-based streaming
                       k-center with outliers, m instances of O(k*z) space.
-``two_pass``          the 2-pass D-oblivious variant (Section 4, end).
 ``common``            the block scan, the greedy cover and the baselines'
                       shared seeding and guess ladder.
 """
@@ -28,5 +27,4 @@ from repro.streaming import (  # noqa: F401
     coreset_outliers,
     coreset_stream,
     doubling,
-    two_pass,
 )

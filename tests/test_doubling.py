@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import metric
-from repro.core.metric import as_points, brute_force_kcenter, cdist, min_dist
+from repro.core.metric import as_points, cdist, min_dist
 from repro.streaming import common
 from repro.streaming.doubling import DoublingCoreset
+from tests.brute_force import brute_force_kcenter
 from tests.conftest import float_stream, grid_stream, planted_clusters
 
 

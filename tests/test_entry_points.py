@@ -8,12 +8,18 @@ The MapReduce drivers and the sequential path also reject a degenerate
 coreset rule (tau below the paper's bound, eps <= 0, or both tau and eps)
 at the driver, with a ``ValueError``, before the input reaches Spark or
 GMM; and every entry point rejects a bad k, z or eps before it reads its
-input."""
+input.
+
+Inside the float64 range a power-of-two scale 2^p is exact, so each entry
+point's answer on 2^p X is 2^p times its answer on X, bit for bit; outside
+it (squared distances that overflow or underflow) the input is rejected."""
+import inspect
 import time
 
 import numpy as np
 import pytest
 
+from repro import experiments
 from repro.core.gmm import gmm
 from repro.core.result import Result
 from repro.core.search import charikar
@@ -24,13 +30,12 @@ from repro.mapreduce.kcenter_outliers import (
     sequential_coreset_outliers,
 )
 from repro.mapreduce.round1 import coreset_rule
-from repro.streaming import two_pass
 from repro.streaming.base_outliers import base_stream_outliers
 from repro.streaming.base_stream import base_stream_kcenter
 from repro.streaming.coreset_outliers import coreset_stream_outliers
 from repro.streaming.coreset_stream import coreset_stream_kcenter
 from repro.streaming.doubling import DoublingCoreset
-from repro.streaming.two_pass import two_pass_outliers
+from tests.conftest import planted_clusters
 
 ENTRY_POINTS = {
     "mr_kcenter": lambda s, X: mr_kcenter(s, X, 3, 2, tau=5),
@@ -47,7 +52,6 @@ ENTRY_POINTS = {
     ),
     "base_stream_kcenter": lambda s, X: base_stream_kcenter(X, 3),
     "base_stream_outliers": lambda s, X: base_stream_outliers(X, 3, 5),
-    "two_pass_outliers": lambda s, X: two_pass_outliers(X, 3, 5),
 }
 
 
@@ -61,18 +65,15 @@ LAYERS = {
     "coreset_stream_outliers": ["setup", "pass", "final"],
     "base_stream_kcenter": ["setup", "pass", "final"],
     "base_stream_outliers": ["setup", "pass", "final"],
-    "two_pass_outliers": ["setup", "pass", "final"],
 }
 # The entry points that build a weighted coreset, whose total weight is n.
 WEIGHTED = {"mr_kcenter", "mr_kcenter_outliers", "sequential_coreset_outliers",
-            "coreset_stream_kcenter", "coreset_stream_outliers",
-            "two_pass_outliers"}
-# The streams and their passes over the input: two-pass reads it twice.
-PASSES = {"coreset_stream_kcenter": 1, "coreset_stream_outliers": 1,
-          "base_stream_kcenter": 1, "base_stream_outliers": 1,
-          "two_pass_outliers": 2}
+            "coreset_stream_kcenter", "coreset_stream_outliers"}
+# The streams, which read the input once.
+STREAMS = {"coreset_stream_kcenter", "coreset_stream_outliers",
+           "base_stream_kcenter", "base_stream_outliers"}
 SEARCHED = {"mr_kcenter_outliers", "sequential_coreset_outliers", "charikar",
-            "coreset_stream_outliers", "two_pass_outliers"}
+            "coreset_stream_outliers"}
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
@@ -85,10 +86,8 @@ def test_returns_one_record(request, name):
     assert list(res.timings) == LAYERS[name]
     assert all(t >= 0 for t in res.timings.values())
     assert res.coreset_weight == (len(X) if name in WEIGHTED else None)
-    assert res.n_processed == (
-        PASSES[name] * len(X) if name in PASSES else None
-    )
-    assert (res.space is not None) == (name in PASSES)
+    assert res.n_processed == (len(X) if name in STREAMS else None)
+    assert (res.space is not None) == (name in STREAMS)
     assert (res.radius is not None) == name.startswith("mr_")
     assert (res.part_sizes is not None) == name.startswith("mr_")
     assert (res.search is not None) == (name in SEARCHED)
@@ -128,6 +127,73 @@ def test_rejects_non_finite_input(request, name, bad):
     spark = request.getfixturevalue("spark") if name.startswith("mr_") else None
     with pytest.raises(ValueError, match="NaN or infinite"):
         ENTRY_POINTS[name](spark, X)
+
+
+def test_every_entry_point_has_a_table():
+    """The entry points these tests check are the algorithms the experiment
+    tables run: the functions ``repro.experiments`` imports that return a
+    ``Result``. An algorithm no table runs, or one these tests skip, fails
+    here."""
+    tabled = {
+        name for name, f in vars(experiments).items()
+        if inspect.isfunction(f) and f.__module__ != experiments.__name__
+        and f.__annotations__.get("return") in ("Result", Result)
+    }
+    assert set(ENTRY_POINTS) == tabled
+
+
+def clusters_with_outliers() -> np.ndarray:
+    """185 shuffled 2-D points, |x| <= 40: three blobs of 60 and 5 far
+    points, one per z = 5 outlier."""
+    pts = planted_clusters(60, [(0, 0), (20, 0), (0, 20)], 1.0, seed=5)
+    far = np.array([[40.0, 40], [-40, 35], [35, -40], [-38, -38], [40, 0]])
+    allpts = np.vstack([pts, far])
+    return allpts[np.random.default_rng(6).permutation(len(allpts))]
+
+
+@pytest.mark.parametrize("s", [1e154, 1e300, 1e-170])
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_rejects_out_of_range_scale(name, s, no_pass):
+    """Coordinates whose squared distances overflow or underflow float64
+    are rejected up front. Unchecked, on these points BASESTREAM and
+    BASEOUTLIERS returned 3 centers whose z-radius is NaN, the sequential
+    path 1 center at search radius 0 and CHARIKARETAL 1 center at
+    r = inf from s = 1e154; at s = 1e-170 every answer had z-radius 0."""
+    with pytest.raises(ValueError, match="overflow or underflow"):
+        ENTRY_POINTS[name](None, s * clusters_with_outliers())
+
+
+_UNSCALED: dict[str, Result] = {}
+
+
+def _run_scaled(request, name: str, p: int) -> Result:
+    spark = request.getfixturevalue("spark") if name.startswith("mr_") else None
+    return ENTRY_POINTS[name](spark, 2.0 ** p * clusters_with_outliers())
+
+
+@pytest.mark.parametrize("p", [-60, -7, 5, 40])
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_scale_equivariant(request, name, p):
+    """On 2^p X every entry point returns 2^p times its centers on X, bit
+    for bit, its radii scaled by 2^p and every count unchanged."""
+    if name not in _UNSCALED:
+        _UNSCALED[name] = _run_scaled(request, name, 0)
+    base, res = _UNSCALED[name], _run_scaled(request, name, p)
+    c = 2.0 ** p
+
+    assert res.centers.tobytes() == (c * base.centers).tobytes()
+    assert res.radius == (None if base.radius is None else c * base.radius)
+    for field in ("coreset_size", "coreset_weight", "space", "n_processed",
+                  "part_sizes"):
+        assert getattr(res, field) == getattr(base, field), field
+    assert (res.search is None) == (base.search is None)
+    if base.search is not None:
+        assert res.search.r == c * base.search.r
+        assert res.search.trace == tuple(
+            (c * r, u, m) for r, u, m in base.search.trace
+        )
+        # A search that stops at r = 0 would scale trivially.
+        assert res.search.evaluations > 1
 
 
 MR_DRIVERS = {
@@ -239,7 +305,6 @@ def no_pass(monkeypatch):
         raise AssertionError("the entry point read its input")
 
     monkeypatch.setattr(DoublingCoreset, "process", reached)
-    monkeypatch.setattr(two_pass, "maximal_coreset", reached)
     monkeypatch.setattr(kcenter_outliers, "build_coreset", reached)
     monkeypatch.setattr(kcenter, "to_spark", reached)
     monkeypatch.setattr(kcenter_outliers, "to_spark", reached)
@@ -249,11 +314,9 @@ def no_pass(monkeypatch):
     "call",
     [
         lambda X, k, z: coreset_stream_outliers(X, k, z),
-        lambda X, k, z: two_pass_outliers(X, k, z),
         lambda X, k, z: sequential_coreset_outliers(X, k, z, tau=10),
     ],
-    ids=["coreset_stream_outliers", "two_pass_outliers",
-         "sequential_coreset_outliers"],
+    ids=["coreset_stream_outliers", "sequential_coreset_outliers"],
 )
 def test_outliers_reject_negative_z(call, no_pass):
     """z < 0 (also z <= -k, where k + z is no valid coreset size) and
@@ -271,9 +334,3 @@ def test_outliers_reject_negative_z(call, no_pass):
 def test_coreset_stream_kcenter_rejects_k_zero(no_pass):
     with pytest.raises(ValueError, match="k must be >= 1"):
         coreset_stream_kcenter(np.zeros((50, 2)), 0)
-
-
-@pytest.mark.parametrize("eps", [0.0, -0.6])
-def test_two_pass_rejects_nonpositive_eps(eps, no_pass):
-    with pytest.raises(ValueError, match="eps must be positive"):
-        two_pass_outliers(np.zeros((50, 2)), 2, 3, eps=eps)

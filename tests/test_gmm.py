@@ -7,12 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.gmm import gmm
-from repro.core.metric import (
-    brute_force_kcenter,
-    cdist,
-    min_dist,
-    radius,
-)
+from repro.core.metric import cdist, min_dist, radius
+from tests.brute_force import brute_force_kcenter
 from tests.conftest import planted_clusters
 
 

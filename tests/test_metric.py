@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import metric
+from tests.brute_force import brute_force_kcenter, brute_force_kcenter_outliers
 
 
 def naive_cdist(a, b):
@@ -335,40 +336,40 @@ class TestGapsAndDiameter:
 class TestBruteForce:
     def test_kcenter_known_instance(self):
         pts = np.array([[0.0, 0], [1.0, 0], [10.0, 0], [11.0, 0]])
-        r, c = metric.brute_force_kcenter(pts, 2)
+        r, c = brute_force_kcenter(pts, 2)
         assert r == pytest.approx(1.0)
 
     def test_kcenter_outliers_known_instance(self):
         pts = np.array([[0.0, 0], [1.0, 0], [10.0, 0], [11.0, 0], [99.0, 99]])
-        r, _ = metric.brute_force_kcenter_outliers(pts, 2, 1)
+        r, _ = brute_force_kcenter_outliers(pts, 2, 1)
         assert r == pytest.approx(1.0)
 
     def test_outliers_relax_objective(self, tiny_points):
-        r0, _ = metric.brute_force_kcenter_outliers(tiny_points, 3, 0)
-        r2, _ = metric.brute_force_kcenter_outliers(tiny_points, 3, 2)
+        r0, _ = brute_force_kcenter_outliers(tiny_points, 3, 0)
+        r2, _ = brute_force_kcenter_outliers(tiny_points, 3, 2)
         assert r2 <= r0
 
     def test_eq1_rkz_vs_rkplusz(self, tiny_points):
         # Equation (1) of the paper: r*_{k+z}(S) <= r*_{k,z}(S).
         k, z = 2, 2
-        r_kz, _ = metric.brute_force_kcenter_outliers(tiny_points, k, z)
-        r_kpz, _ = metric.brute_force_kcenter(tiny_points, k + z)
+        r_kz, _ = brute_force_kcenter_outliers(tiny_points, k, z)
+        r_kpz, _ = brute_force_kcenter(tiny_points, k + z)
         assert r_kpz <= r_kz + 1e-12
 
     def test_invalid_k(self, tiny_points):
         with pytest.raises(ValueError):
-            metric.brute_force_kcenter(tiny_points, 0)
+            brute_force_kcenter(tiny_points, 0)
         with pytest.raises(ValueError):
-            metric.brute_force_kcenter(tiny_points, len(tiny_points))
+            brute_force_kcenter(tiny_points, len(tiny_points))
 
     def test_invalid_z(self, tiny_points):
         with pytest.raises(ValueError):
-            metric.brute_force_kcenter_outliers(tiny_points, 2, -1)
+            brute_force_kcenter_outliers(tiny_points, 2, -1)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 3))
     def test_kcenter_radius_is_achievable(self, seed, k):
         g = np.random.default_rng(seed)
         pts = g.uniform(-1, 1, (7, 2))
-        r, c = metric.brute_force_kcenter(pts, k)
+        r, c = brute_force_kcenter(pts, k)
         assert metric.radius(pts, pts[list(c)]) == pytest.approx(r)

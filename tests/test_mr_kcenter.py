@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core.gmm import gmm
-from repro.core.metric import brute_force_kcenter, radius
+from repro.core.metric import radius
 from repro.data.datasets import to_spark
 from repro.mapreduce.evaluate import radius_spark
 from repro.mapreduce.kcenter import mr_kcenter
 from repro.mapreduce.partitioning import make_pids
 from repro.mapreduce.round1 import Round1Result, coreset_rule, run_round1
+from tests.brute_force import brute_force_kcenter
 from tests.conftest import planted_clusters
 
 

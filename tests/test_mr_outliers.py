@@ -3,13 +3,14 @@ algorithms (Sections 3.2 / 3.2.1) on the session SparkSession."""
 import numpy as np
 import pytest
 
-from repro.core.metric import brute_force_kcenter_outliers, radius
+from repro.core.metric import radius
 from repro.mapreduce.kcenter_outliers import (
     experiment_tau,
     mr_kcenter_outliers,
     randomized_zprime,
     sequential_coreset_outliers,
 )
+from tests.brute_force import brute_force_kcenter_outliers
 from tests.conftest import planted_clusters
 
 

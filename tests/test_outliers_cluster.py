@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from repro.core.gmm import gmm
 from repro.core import outliers_cluster as oc_module
-from repro.core.metric import brute_force_kcenter_outliers, cdist, min_dist
+from repro.core.metric import cdist, min_dist
 from repro.core.outliers_cluster import outliers_cluster
+from tests.brute_force import brute_force_kcenter_outliers
 
 
 class TestMechanics:

@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import search as search_module
 from repro.core.gmm import gmm
-from repro.core.metric import (
-    brute_force_kcenter_outliers,
-    cdist,
-    min_dist,
-    radius,
-)
+from repro.core.metric import cdist, min_dist, radius
 from repro.core.outliers_cluster import outliers_cluster
 from repro.core.search import (
     charikar,
@@ -22,6 +17,7 @@ from repro.core.search import (
     min_feasible_radius,
     min_feasible_radius_exact,
 )
+from tests.brute_force import brute_force_kcenter_outliers
 
 
 class TestDelta:

@@ -1,10 +1,9 @@
 """Tests for the four end-to-end streaming algorithms: CORESETSTREAM,
-BASESTREAM, CORESETOUTLIERS, BASEOUTLIERS, and the 2-pass variant."""
+BASESTREAM, CORESETOUTLIERS and BASEOUTLIERS."""
 import numpy as np
 import pytest
 
-from repro.core import metric
-from repro.core.metric import brute_force_kcenter_outliers, cdist, radius
+from repro.core.metric import cdist, radius
 from repro.streaming import common
 from repro.streaming.base_outliers import (
     _OutlierInstance,
@@ -13,7 +12,7 @@ from repro.streaming.base_outliers import (
 from repro.streaming.base_stream import _Instance, base_stream_kcenter
 from repro.streaming.coreset_outliers import coreset_stream_outliers
 from repro.streaming.coreset_stream import coreset_stream_kcenter
-from repro.streaming.two_pass import maximal_coreset, two_pass_outliers
+from tests.brute_force import brute_force_kcenter_outliers
 from tests.conftest import float_stream, grid_stream, planted_clusters
 
 
@@ -181,34 +180,6 @@ class TestEarlyRepeat:
         assert radius(pts, res.centers, z) < 20.0
 
 
-class TestTwoPass:
-    def test_excludes_planted_outliers(self, stream_blobs_outliers):
-        pts, z = stream_blobs_outliers
-        res = two_pass_outliers(pts, 3, z, eps=0.6)
-        assert radius(pts, res.centers, z) < 5.0
-
-    def test_processes_twice(self, stream_blobs_outliers):
-        pts, z = stream_blobs_outliers
-        res = two_pass_outliers(pts, 3, z)
-        assert res.n_processed == 2 * len(pts)
-
-    def test_theorem_bound_small_instance(self):
-        g = np.random.default_rng(21)
-        pts = g.uniform(-1, 1, (10, 2))
-        k, z = 2, 1
-        opt, _ = brute_force_kcenter_outliers(pts, k, z)
-        res = two_pass_outliers(pts, k, z, eps=0.6)
-        assert radius(pts, res.centers, z) <= (3 + 0.6) * opt + 1e-6
-
-    def test_space_bound_low_dimension(self):
-        """|T| <= (k+z)(96/eps)^D with D~1 for collinear data (loose)."""
-        x = np.sort(np.random.default_rng(22).uniform(0, 100, 400))
-        pts = np.stack([x, np.zeros_like(x)], axis=1)
-        k, z, eps = 3, 2, 1.0
-        res = two_pass_outliers(pts, k, z, eps=eps)
-        assert res.space <= (k + z) * 96 * 4  # D=1 bound with sampling slack
-
-
 def covered(p, centers, thresh) -> bool:
     """The per-point coverage test the block scans replaced."""
     if not centers:
@@ -235,19 +206,6 @@ def base_outliers_reference(inst: _OutlierInstance, points) -> None:
         inst._consolidate()
 
 
-def maximal_coreset_reference(points, thresh):
-    T, w = [points[0]], [1]
-    for p in points[1:]:
-        d = cdist(p[None, :], np.asarray(T))[0]
-        j = int(d.argmin())
-        if d[j] <= thresh:
-            w[j] += 1
-        else:
-            T.append(p)
-            w.append(1)
-    return np.asarray(T), np.asarray(w, dtype=np.float64)
-
-
 def grid_cases(n=200):
     """(stream, scale) pairs: integer-grid streams (exact distances) in
     1-4 dimensions, with a threshold scale drawn from the stream's own
@@ -261,8 +219,8 @@ def grid_cases(n=200):
 
 @pytest.mark.parametrize("block", [1, 3, None])
 class TestBlockScanReference:
-    """On exact distances the block scans of the baselines and of two-pass
-    pass 2 equal the per-point loops they replaced, at any block size."""
+    """On exact distances the block scans of the baselines equal the
+    per-point loops they replaced, at any block size."""
 
     @pytest.fixture(autouse=True)
     def _block(self, monkeypatch, block):
@@ -287,15 +245,6 @@ class TestBlockScanReference:
                 base_outliers_reference(ref, pts)
                 assert got.r == ref.r
                 assert np.array_equal(got.stored_points(), ref.stored_points())
-
-    def test_two_pass_pass2(self, block):
-        for pts, r in grid_cases():
-            for thresh in (0.0, r / 2, r, 4 * r):
-                T, w = maximal_coreset(pts, thresh)
-                T_ref, w_ref = maximal_coreset_reference(pts, thresh)
-                assert np.array_equal(T, T_ref)
-                assert np.array_equal(w, w_ref) and w.dtype == w_ref.dtype
-
 
 def cdist_first_far(D, thresh) -> int:
     """The block-scan step before ``metric.nearest``: the first row of
@@ -348,28 +297,6 @@ def base_outliers_cdist_scan(inst: _OutlierInstance, points) -> None:
                 inst._promote_dense()
 
 
-def maximal_coreset_cdist_scan(points, thresh):
-    n = len(points)
-    T = np.empty((min(n, common.BLOCK_ROWS), points.shape[1]))
-    w = np.zeros(len(T), dtype=np.int64)
-    m, i = 0, 0
-    while i < n:
-        if m:
-            block = points[i : i + common.BLOCK_ROWS]
-            D = cdist(block, T[:m])
-            f = cdist_first_far(D, thresh)
-            w[:m] += np.bincount(D[:f].argmin(axis=1), minlength=m)
-            i += f
-            if f == len(block):
-                continue
-        if m == len(T):
-            T, w = np.resize(T, (2 * m, T.shape[1])), np.resize(w, 2 * m)
-        T[m], w[m] = points[i], 1
-        m += 1
-        i += 1
-    return T[:m].copy(), w[:m].astype(np.float64)
-
-
 def float_cases(n):
     """(stream, scale) pairs: 24 float streams with repeated rows, with a
     threshold scale drawn from the stream's own distances."""
@@ -404,18 +331,3 @@ class TestNearestScan:
                 assert got.r == ref.r
                 assert (got.stored_points().tobytes()
                         == ref.stored_points().tobytes())
-
-    def test_two_pass_pass2(self, monkeypatch):
-        """Pass 2 reads the nearest index too; near-copies of a proxy take
-        the kernel's square-root tie branch."""
-        calls = []
-        ties = metric._root_ties
-        monkeypatch.setattr(metric, "_root_ties",
-                            lambda *a: calls.append(1) or ties(*a))
-        for pts, r in float_cases(400):
-            for thresh in (0.0, r / 2, r, 4 * r):
-                T, w = maximal_coreset(pts, thresh)
-                T_ref, w_ref = maximal_coreset_cdist_scan(pts, thresh)
-                assert T.tobytes() == T_ref.tobytes()
-                assert w.tobytes() == w_ref.tobytes()
-        assert calls
