@@ -9,11 +9,14 @@ and avoids storing all distances via a streaming median-finder [30].
 
 One routine, ``_search``, does both: it probes r = 0, then bisects one
 sorted array of candidate radii. Unlike the paper it stores the distances,
-as one |T| x |T| float64 matrix ``cdist(T, T)``; each evaluation adds its
-|T| x |T| bool ball matrix, so a search peaks near 9|T|^2 bytes.
-``min_feasible_radius`` searches the geometric grid
-``lo_d * (1+delta)**j`` from the min positive pairwise distance up to the
-max, so the O(|T|^2) distances are never sorted.
+once per pair: ``metric.pair_tiles(T)`` holds the upper triangle of
+``cdist(T, T)`` in row tiles (about 0.53|T|^2 float64 entries; the whole
+matrix for a set of up to ``metric._DENSE_ROWS`` points), and each
+evaluation adds its bool ball tiles, so a search on a larger set peaks
+near 4.8|T|^2 bytes (9|T|^2 for the whole matrix and its ball matrix).
+``min_feasible_radius`` searches the geometric grid ``lo_d * (1+delta)**j``
+from the min positive pairwise distance up to the max, both recorded
+while the tiles are built, so the O(|T|^2) distances are never sorted.
 ``min_feasible_radius_exact`` (delta = 0) searches the sorted distinct
 pairwise distances, for modest |T|; with ``eps_hat = 0`` and unit weights
 this is the sequential algorithm of Charikar et al. [16], exposed as
@@ -34,7 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.metric import as_points, cdist, check_kz, finite_points
+from repro.core.metric import (
+    PairTiles,
+    as_points,
+    check_kz,
+    finite_points,
+    pair_tiles,
+)
 from repro.core.outliers_cluster import OutliersClusterResult, outliers_cluster
 from repro.core.result import Clock, Result
 
@@ -55,7 +64,7 @@ class RadiusSearchResult:
     def evaluations(self) -> int:
         """Number of OutliersCluster runs performed (reported by the
         sequential-experiment harness; each costs about two passes over
-        the |T|^2 matrix, see ``outliers_cluster``)."""
+        the pairwise distances, see ``outliers_cluster``)."""
         return len(self.trace)
 
     def centers(self, T) -> np.ndarray:
@@ -67,38 +76,38 @@ def default_delta(eps_hat: float) -> float:
     return eps_hat / (3.0 + 4.0 * eps_hat) if eps_hat > 0 else 0.0
 
 
-def _candidates(D: np.ndarray, delta: float) -> np.ndarray:
-    """The sorted candidate radii: the distinct entries of D for
+def _candidates(P: PairTiles, delta: float) -> np.ndarray:
+    """The sorted candidate radii: the distinct pairwise distances for
     ``delta = 0``, else the grid lo_d * (1+delta)**j, j = 0..n_steps, from
-    the min positive pairwise distance lo_d up to at least max(D)."""
+    the min positive pairwise distance lo_d up to at least the max, both
+    recorded by ``pair_tiles``."""
     if delta == 0.0:
-        return np.unique(D)
-    # Only called after r = 0 was infeasible, so some entry of D is > 0.
-    lo_d = float(np.min(D, where=D > 0.0, initial=np.inf))
-    hi_d = float(D.max())
+        return P.values()
+    # Only called after r = 0 was infeasible, so some distance is > 0.
+    lo_d, hi_d = P.lo, P.hi
     n_steps = max(1, math.ceil(math.log(hi_d / lo_d) / math.log1p(delta)))
     return np.array([lo_d * (1.0 + delta) ** j for j in range(n_steps + 1)])
 
 
 def _search(T, weights, k, z, eps_hat, delta) -> RadiusSearchResult:
-    """Probe r = 0, then bisect the sorted ``_candidates(D, delta)`` over
-    the shared matrix D = cdist(T, T) for a feasible radius.
+    """Probe r = 0, then bisect the sorted ``_candidates(P, delta)`` over
+    the shared distances P = pair_tiles(T) for a feasible radius.
 
-    The last candidate is at least max(D)/3, so the first center covers T
-    (its cover radius is at least 3r) and that probe is always feasible:
-    it runs only if no midpoint was feasible. The arguments are checked
-    before the matrix is built.
+    The last candidate is at least the largest distance over 3, so the
+    first center covers T (its cover radius is at least 3r) and that probe
+    is always feasible: it runs only if no midpoint was feasible. The
+    arguments are checked before the tiles are built.
     """
     check_kz(k, z)
     T = as_points(T)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (len(T),):
         raise ValueError(f"weights shape {w.shape} != ({len(T)},)")
-    D = cdist(T, T)
+    P = pair_tiles(T)
     trace: list = []
 
     def run(r: float) -> OutliersClusterResult:
-        res = outliers_cluster(T, w, k, r, eps_hat, dist_matrix=D)
+        res = outliers_cluster(T, w, k, r, eps_hat, pairs=P)
         trace.append((r, res.uncovered_weight, res.n_centers))
         return res
 
@@ -110,7 +119,7 @@ def _search(T, weights, k, z, eps_hat, delta) -> RadiusSearchResult:
     res = run(0.0)
     if res.uncovered_weight <= z:
         return found(0.0, res)
-    cand = _candidates(D, delta)
+    cand = _candidates(P, delta)
     if cand[0] != 0.0:
         res = run(float(cand[0]))
         if res.uncovered_weight <= z:

@@ -83,3 +83,18 @@ def float_stream(seed: int, n: int, dim: int) -> np.ndarray:
             if g.random() < 0.2:
                 pts[i] *= 1.0 + 1e-12 * g.normal(size=dim)
     return pts
+
+
+def split_tiles(monkeypatch, tiles: int) -> None:
+    """Make ``metric.pair_tiles`` split every set of two or more points
+    into about ``tiles`` row tiles, however small the set: its tiled path
+    then runs on test-sized inputs."""
+    from repro.core import metric
+
+    monkeypatch.setattr(metric, "_DENSE_ROWS", 1)
+    monkeypatch.setattr(metric, "_TILES", tiles)
+
+
+def tiles_matrix(P) -> np.ndarray:
+    """The full matrix a ``metric.PairTiles`` describes, row by row."""
+    return np.stack([P.row(x) for x in range(len(P))])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core import metric
 from tests.brute_force import brute_force_kcenter, brute_force_kcenter_outliers
+from tests.conftest import split_tiles, tiles_matrix
 
 
 def naive_cdist(a, b):
@@ -140,6 +141,73 @@ class TestCdist:
             for j in range(5):
                 for k in range(5):
                     assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
+
+
+
+class TestPairTiles:
+    """``pair_tiles(T)`` stores each pair of ``cdist(T, T)`` once, in row
+    tiles of the upper triangle, and describes an exactly symmetric
+    matrix."""
+
+    @pytest.mark.parametrize("tiles", [None, 2, 5, 16])
+    def test_rows_bitwise_equal_cdist_on_integers(self, tiles, monkeypatch):
+        """On integer coordinates every squared distance is an exact
+        integer, so any GEMM gives its bits: ``row(x)`` is
+        ``cdist(T, T)[x]``, the zero diagonal included, and so are the
+        bounds and the distinct values."""
+        if tiles is not None:
+            split_tiles(monkeypatch, tiles)
+        for seed in range(30):
+            g = np.random.default_rng([seed, 11])
+            n = int(g.integers(1, 80))
+            T = g.integers(-6, 7, (n, int(g.integers(1, 5)))).astype(float)
+            T[g.random(n) < 0.25] = T[0]  # coincident points
+            P = metric.pair_tiles(T)
+            D = metric.cdist(T, T)
+            assert len(P) == n and P.starts[0] == 0 and P.starts[-1] == n
+            M = tiles_matrix(P)
+            assert M.tobytes() == D.tobytes(), seed
+            assert not np.diag(M).any()
+            pos = D[D > 0]
+            assert P.lo == (pos.min() if len(pos) else np.inf)
+            assert P.hi == D.max()
+            assert np.array_equal(P.values(), np.unique(D))
+
+    def test_each_pair_stored_once(self):
+        """A large set takes ``_TILES`` tiles of the upper triangle, the
+        diagonal blocks whole: about |T|^2 (1/2 + 1/32) entries, not
+        |T|^2. Tile t holds rows ``starts[t]:starts[t+1]`` from column
+        ``starts[t]`` on."""
+        n = 2720
+        T = np.random.default_rng(3).normal(size=(n, 7))
+        P = metric.pair_tiles(T)
+        assert len(P.tiles) == metric._TILES
+        for t, s, e in zip(P.tiles, P.starts, P.starts[1:]):
+            assert t.shape == (e - s, n - s)
+        assert sum(t.size for t in P.tiles) <= n * n * (0.5 + 1 / 32) + n
+
+    @pytest.mark.parametrize("dim", [3, 50])
+    def test_float_tiles_symmetric_and_close_to_cdist(self, dim):
+        """On floats the tiles' general GEMMs may differ from ``cdist``'s
+        ``syrk`` by a few ulps; the matrix is still exactly symmetric."""
+        T = np.random.default_rng(dim).normal(size=(1500, dim))
+        M = tiles_matrix(metric.pair_tiles(T))
+        assert np.array_equal(M, M.T)
+        np.testing.assert_allclose(M, metric.cdist(T, T), rtol=1e-12,
+                                   atol=1e-6)
+
+    def test_small_set_is_cdist(self):
+        """Up to ``_DENSE_ROWS`` points make one tile: ``cdist(T, T)`` bit
+        for bit, floats included."""
+        T = np.random.default_rng(5).normal(size=(metric._DENSE_ROWS, 50))
+        P = metric.pair_tiles(T)
+        assert len(P.tiles) == 1
+        assert P.tiles[0].tobytes() == metric.cdist(T, T).tobytes()
+
+    def test_bounds_without_a_positive_distance(self):
+        for T in (np.zeros((1, 3)), np.ones((40, 2))):
+            P = metric.pair_tiles(T)
+            assert (P.lo, P.hi) == (np.inf, 0.0)
 
 
 def _cdist_nearest(a, b):

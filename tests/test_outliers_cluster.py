@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from repro.core.gmm import gmm
 from repro.core import outliers_cluster as oc_module
-from repro.core.metric import cdist, min_dist
+from repro.core.metric import cdist, min_dist, pair_tiles
 from repro.core.outliers_cluster import outliers_cluster
 from tests.brute_force import brute_force_kcenter_outliers
+from tests.conftest import split_tiles, tiles_matrix
 
 
 class TestMechanics:
@@ -82,15 +83,14 @@ class TestMechanics:
             outliers_cluster(three_blobs, w, 2, -1.0, 0.1)
         with pytest.raises(ValueError):
             outliers_cluster(
-                three_blobs, w, 2, 1.0, 0.1, dist_matrix=np.zeros((2, 2))
+                three_blobs, w, 2, 1.0, 0.1, pairs=pair_tiles(three_blobs[:2])
             )
 
     def test_precomputed_matrix_matches(self, blobs_with_outliers):
         pts, _ = blobs_with_outliers
         w = np.ones(len(pts))
-        D = cdist(pts, pts)
         a = outliers_cluster(pts, w, 3, 1.0, 0.1)
-        b = outliers_cluster(pts, w, 3, 1.0, 0.1, dist_matrix=D)
+        b = outliers_cluster(pts, w, 3, 1.0, 0.1, pairs=pair_tiles(pts))
         np.testing.assert_array_equal(a.centers_idx, b.centers_idx)
         np.testing.assert_array_equal(a.uncovered, b.uncovered)
 
@@ -197,7 +197,8 @@ class TestIncrementalGains:
             ref_idx, ref_unc, ref_w = _recompute_every_pick(
                 D, w, k, r, eps_hat
             )
-            res = outliers_cluster(pts, w, k, r, eps_hat, dist_matrix=D)
+            res = outliers_cluster(pts, w, k, r, eps_hat,
+                                   pairs=pair_tiles(pts))
             np.testing.assert_array_equal(res.centers_idx, ref_idx, str(seed))
             np.testing.assert_array_equal(res.uncovered, ref_unc, str(seed))
             assert res.uncovered_weight == ref_w, seed
@@ -237,7 +238,7 @@ class TestGainsPrecision:
         assert w.sum() == 2**24 and w.min() >= 1
         assert oc_module._gains_dtype(w) is np.float32
         ref_idx, ref_unc, ref_w = _recompute_every_pick(D, w, k, r, eps_hat)
-        res = outliers_cluster(pts, w, k, r, eps_hat, dist_matrix=D)
+        res = outliers_cluster(pts, w, k, r, eps_hat, pairs=pair_tiles(pts))
         np.testing.assert_array_equal(res.centers_idx, ref_idx)
         np.testing.assert_array_equal(res.uncovered, ref_unc)
         assert res.uncovered_weight == ref_w
@@ -306,9 +307,98 @@ class TestMinRowsUpdate:
                 T, w, k, r, eps_hat
             )
             recomputes += rc
-            res = outliers_cluster(T, w, k, r, eps_hat, dist_matrix=D)
+            res = outliers_cluster(T, w, k, r, eps_hat, pairs=pair_tiles(T))
             assert res.centers_idx.tobytes() == ref_idx.tobytes(), seed
             assert res.uncovered.tobytes() == ref_unc.tobytes(), seed
             assert res.uncovered_weight == ref_w, seed
         # Picks that cover more rows than they leave ran the recompute.
         assert recomputes > 20, recomputes
+
+
+def _dense_outliers_cluster(D, w, k, r, eps_hat):
+    """Reference: the kernel over the whole matrix ``D = cdist(T, T)``
+    that the row tiles replaced. It builds the n x n bool ball matrix,
+    takes the gains in row blocks, and after each pick but the k-th
+    subtracts the weight of the rows it covered or recomputes the weight
+    of the rows it left, whichever are fewer."""
+    n = len(D)
+    in_ball = D <= (1.0 + 2.0 * eps_hat) * r
+    cover_r = (3.0 + 4.0 * eps_hat) * r
+    wv = w.astype(oc_module._gains_dtype(w))
+    step = max(1, oc_module._BLOCK_ENTRIES // max(1, n))
+
+    def ball_weight(rows):
+        total = np.zeros(n, dtype=wv.dtype)
+        for lo in range(0, len(rows), step):
+            r_ = rows[lo:lo + step]
+            total += wv[r_] @ in_ball[r_]
+        return total
+
+    gains = np.empty(n, dtype=wv.dtype)
+    for lo in range(0, n, step):
+        gains[lo:lo + step] = in_ball[lo:lo + step] @ wv
+    uncovered = np.ones(n, dtype=bool)
+    centers = []
+    while len(centers) < k and uncovered.any():
+        x = int(gains.argmax())
+        centers.append(x)
+        keep = D[x] > cover_r
+        newly = np.flatnonzero(uncovered & ~keep)
+        uncovered &= keep
+        rest = np.flatnonzero(uncovered)
+        if len(centers) == k or not len(rest):
+            break
+        if len(newly) <= len(rest):
+            gains -= ball_weight(newly)
+        else:
+            gains = ball_weight(rest)
+    centers = np.asarray(centers, dtype=np.int64)
+    return centers, uncovered, float(w[uncovered].sum())
+
+
+class TestTiledEquivalence:
+    """OutliersCluster over the row tiles returns what the dense kernel
+    over ``cdist(T, T)`` returns: the same centers, uncovered mask and
+    uncovered weight."""
+
+    @pytest.mark.parametrize("block", [None, 1, 37])
+    @pytest.mark.parametrize("tiles", [2, 5, 16])
+    def test_integer_instances(self, tiles, block, monkeypatch):
+        """Integer grids with coincident rows (ties, zero diagonal),
+        split into tiles of a few rows; ``block`` also splits the cast
+        blocks down to one row or column."""
+        split_tiles(monkeypatch, tiles)
+        if block is not None:
+            monkeypatch.setattr(oc_module, "_BLOCK_ENTRIES", block)
+        for seed in range(120):
+            pts, w, D, k, r, eps_hat = _instance(seed)
+            P = pair_tiles(pts)
+            assert tiles_matrix(P).tobytes() == D.tobytes()
+            ref_idx, ref_unc, ref_w = _dense_outliers_cluster(
+                D, w, k, r, eps_hat
+            )
+            res = outliers_cluster(pts, w, k, r, eps_hat, pairs=P)
+            assert res.centers_idx.tobytes() == ref_idx.tobytes(), seed
+            assert res.uncovered.tobytes() == ref_unc.tobytes(), seed
+            assert res.uncovered_weight == ref_w, seed
+
+    def test_float_coreset_sized_instance(self):
+        """2720 float points in 7-D, the size of the benchmark's round-2
+        coresets, in the default 16 tiles, at radii from no cover to
+        one ball covering most points."""
+        g = np.random.default_rng(2720)
+        centers = g.normal(scale=20.0, size=(12, 7))
+        T = centers[g.integers(0, 12, 2720)] + g.normal(size=(2720, 7))
+        T[:40] = g.normal(scale=200.0, size=(40, 7))
+        w = g.integers(1, 60, len(T)).astype(np.float64)
+        P = pair_tiles(T)
+        assert len(P.tiles) > 1
+        D = cdist(T, T)
+        for r in (0.0, 0.731, 1.913, 4.27, 11.3):
+            ref_idx, ref_unc, ref_w = _dense_outliers_cluster(
+                D, w, 10, r, 0.05
+            )
+            res = outliers_cluster(T, w, 10, r, 0.05, pairs=P)
+            np.testing.assert_array_equal(res.centers_idx, ref_idx)
+            np.testing.assert_array_equal(res.uncovered, ref_unc)
+            assert res.uncovered_weight == ref_w

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import search as search_module
 from repro.core.gmm import gmm
-from repro.core.metric import cdist, min_dist, radius
+from repro.core.metric import min_dist, pair_tiles, radius
 from repro.core.outliers_cluster import outliers_cluster
 from repro.core.search import (
     charikar,
@@ -171,9 +171,9 @@ class TestTrace:
             res = min_feasible_radius_exact(pts, w, k, z, eps_hat)
         assert len(res.trace) == res.evaluations >= 2
         assert res.trace[0][0] == 0.0  # both searches probe r = 0 first
-        D = cdist(pts, pts)
+        P = pair_tiles(pts)
         for r, unc_w, n_centers in res.trace:
-            again = outliers_cluster(pts, w, k, r, eps_hat, dist_matrix=D)
+            again = outliers_cluster(pts, w, k, r, eps_hat, pairs=P)
             assert (unc_w, n_centers) == (
                 again.uncovered_weight, again.n_centers
             )
@@ -191,8 +191,8 @@ class TestTrace:
 
 
 class TestArgumentsBeforeMatrix:
-    """A bad k, z or weights array is rejected before the |T|^2 matrix is
-    built."""
+    """A bad k, z or weights array is rejected before the |T|^2 distances
+    are computed (``pair_tiles``, the search's only distance pass)."""
 
     @pytest.mark.parametrize("call", [
         lambda X: charikar(X, 0, 5),
@@ -202,11 +202,11 @@ class TestArgumentsBeforeMatrix:
     def test_no_cdist_call(self, call, monkeypatch):
         calls = []
 
-        def counting(a, b):
-            calls.append(len(a))
-            return cdist(a, b)
+        def counting(T):
+            calls.append(len(T))
+            return pair_tiles(T)
 
-        monkeypatch.setattr(search_module, "cdist", counting)
+        monkeypatch.setattr(search_module, "pair_tiles", counting)
         pts = np.random.default_rng(0).normal(size=(300, 3))
         with pytest.raises(ValueError):
             call(pts)
@@ -214,18 +214,40 @@ class TestArgumentsBeforeMatrix:
 
 
 class TestSearchMemory:
-    def test_peak_memory_matrix_plus_ball_matrix(self):
-        """A search holds one n x n float64 matrix; each evaluation adds
-        its n x n bool ball matrix and block-sized temporaries."""
-        n = 2000
+    """A search holds each pairwise distance once: about n^2 (1/2 + 1/32)
+    float64 entries in row tiles (4.25 n^2 bytes), and each evaluation
+    adds its bool ball tiles (0.53 n^2 bytes) and block-sized
+    temporaries. The n x n float64 matrix plus an n x n bool ball matrix
+    took 9 n^2 bytes."""
+
+    N = 2000
+
+    @staticmethod
+    def _instance(n):
         g = np.random.default_rng(1)
-        T = g.normal(size=(n, 3))
-        w = g.integers(1, 4, n).astype(np.float64)
+        return g.normal(size=(n, 3)), g.integers(1, 4, n).astype(np.float64)
+
+    @staticmethod
+    def _peak(call):
         tracemalloc.start()
         try:
-            res = min_feasible_radius(T, w, 5, 20, 0.1)
-            peak = tracemalloc.get_traced_memory()[1]
+            out = call()
+            return out, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_peak_memory_matrix_plus_ball_matrix(self):
+        n = self.N
+        T, w = self._instance(n)
+        res, peak = self._peak(lambda: min_feasible_radius(T, w, 5, 20, 0.1))
         assert res.evaluations > 2
-        assert peak <= 9 * n * n + 2 * 2**20
+        assert peak <= 5 * n * n + 2 * 2**20
+
+    def test_peak_memory_outliers_cluster_alone(self):
+        """Called without the search's tiles, OutliersCluster builds them
+        itself, within the same bound."""
+        n = self.N
+        T, w = self._instance(n)
+        res, peak = self._peak(lambda: outliers_cluster(T, w, 5, 0.3, 0.1))
+        assert res.n_centers >= 1
+        assert peak <= 5 * n * n + 2 * 2**20
