@@ -3,9 +3,8 @@
 ``metric``            Euclidean distances, (z-outlier) clustering radii and
                       the input check every entry point makes.
 ``gmm``               Gonzalez's farthest-first traversal, run incrementally
-                      for tau centers or, with ``eps``, until the paper's
-                      (eps/2)-radius rule holds: the weighted round-1
-                      coreset of both MapReduce algorithms.
+                      for tau centers: the weighted round-1 coreset of
+                      both MapReduce algorithms.
 ``outliers_cluster``  Algorithm 1 of the paper: the weighted variant of the
                       Charikar et al. greedy for k-center with outliers.
 ``search``            The minimum-feasible-radius search: one bisection over

@@ -4,14 +4,14 @@ round-1 coreset construction of every algorithm in the paper.
 GMM is the workhorse of the whole paper: it is a sequential 2-approximation
 for k-center (Lemma 1) and, crucially, it is *incremental* — the set of the
 first j centers is a prefix of the set of the first j+1 — which is what lets
-the MapReduce round-1 reducers grow a coreset until a stopping condition is
+the paper's round-1 reducers grow a coreset until a stopping condition is
 met without knowing the doubling dimension D.
 
 ``gmm(X, tau)`` selects ``tau`` centers: the experiments' rule (Section 5
-fixes tau = mu*k or mu*(k+z) instead of sweeping eps). ``gmm(X, tau,
-eps=eps)`` is the theory's rule (Sections 3.1 / 3.2): keep selecting past
-``tau`` until r_{T^j}(X) <= (eps/2) * r_{T^tau}(X), with tau = k, k+z or
-k+z'.
+fixes tau = mu*k or mu*(k+z)), and the only one the package runs. The
+theory's rule (Sections 3.1 / 3.2: select past k, k+z or k+z' centers
+until r_{T^j}(X) <= (eps/2) * r_{T^k}(X)) gives a size that can be read
+off one full run's ``radii``, since every shorter run is a prefix of it.
 
 The result carries *proxy weights*: each selected center counts the input
 points whose closest center (proxy, in the paper's terminology) it is.
@@ -57,19 +57,13 @@ class GmmResult:
         return as_points(X)[self.centers_idx]
 
 
-def gmm(
-    X, tau: int, *, first: int = 0, eps: float | None = None
-) -> GmmResult:
+def gmm(X, tau: int, *, first: int = 0) -> GmmResult:
     """Run farthest-first traversal on ``X`` for ``tau`` centers (all of
     X's distinct points if it has fewer).
 
     ``first`` is the (arbitrary, per Gonzalez) initial center index; the
     experiments shuffle the input between runs, which is equivalent to
     randomizing ``first``.
-
-    With ``eps``, selection continues past ``tau`` centers and stops at the
-    first j >= tau with r_{T^j}(X) <= (eps/2) * r_{T^tau}(X), the paper's
-    theoretical coreset rule.
     """
     X = as_points(X)
     n = len(X)
@@ -77,12 +71,9 @@ def gmm(
         raise ValueError("empty point set")
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
-    if eps is not None and not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     tau = min(tau, n)
     if not 0 <= first < n:
         raise ValueError(f"first index {first} out of range for n={n}")
-    cap = tau if eps is None else n
 
     # d(X, X[c]) is cdist(X, X[c:c+1]) evaluated with the same operations
     # in the same order, bit for bit: the row norms are computed once
@@ -101,17 +92,14 @@ def gmm(
         np.clip(nd, 0.0, None, out=nd)
         return np.sqrt(nd, out=nd)
 
-    centers = np.empty(cap, dtype=np.int64)
+    centers = np.empty(tau, dtype=np.int64)
     centers[0] = first
     dist = dist_to(first).copy()
     assign = np.zeros(n, dtype=np.int64)
-    radii = np.empty(cap, dtype=np.float64)
+    radii = np.empty(tau, dtype=np.float64)
     radii[0] = dist.max(initial=0.0)
     j = 1
-    while j < cap:
-        # j >= tau only when eps is given, as cap == tau otherwise.
-        if j >= tau and radii[j - 1] <= (eps / 2.0) * radii[tau - 1]:
-            break
+    while j < tau:
         nxt = int(dist.argmax())
         if dist[nxt] == 0.0:
             # All points coincide with an existing center: the coreset is

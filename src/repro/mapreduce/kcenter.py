@@ -1,9 +1,9 @@
 """Section 3.1 — the 2-round (2+eps)-approximation MapReduce algorithm for
 k-center.
 
-Round 1: partition S into ell subsets, run GMM per subset until the coreset
-rule is met (fixed size tau = mu*k in the experiments, or the theory's
-(eps/2)-radius rule past k centers, ``gmm(S_i, k, eps=eps)``). Round 2:
+Round 1: partition S into ell subsets, run GMM per subset for a fixed
+coreset size tau = mu*k, as the experiments do (the theory's
+(eps/2)-radius rule past k centers is not an option of the code). Round 2:
 gather the union T of the coresets at the driver ("a single reducer") and
 run GMM on T for the final k centers. With mu = 1 (tau = k) this
 algorithm *is* the MALKOMESETAL [26] baseline of Figure 2.
@@ -18,7 +18,7 @@ from repro.core.result import Clock, Result
 from repro.data.datasets import to_spark
 from repro.mapreduce.evaluate import radius_spark
 from repro.mapreduce.partitioning import make_pids
-from repro.mapreduce.round1 import coreset_rule, run_round1
+from repro.mapreduce.round1 import run_round1
 
 
 def mr_kcenter(
@@ -27,25 +27,24 @@ def mr_kcenter(
     k: int,
     ell: int,
     *,
-    tau: int | None = None,
-    eps: float | None = None,
+    tau: int,
 ) -> Result:
     """Run the full 2-round algorithm on ``points`` with parallelism ``ell``
     over contiguous subsets.
 
-    Exactly one of ``tau`` (fixed per-partition coreset size, >= k) or
-    ``eps`` (the paper's rule, GMM past k centers) must be given. The
+    ``tau`` is the fixed per-partition coreset size, at least k. The
     radius is r_T(S) over the full input, computed distributively.
     """
     clock = Clock()
     points = finite_points(points)
     if not 0 < k < len(points):
         raise ValueError(f"need 0 < k < n, got k={k}, n={len(points)}")
-    tau, eps = coreset_rule(tau, eps, k_base=k, tau_min=k)
+    if tau < k:
+        raise ValueError(f"tau must be >= {k}, got {tau}")
     pids = make_pids(len(points), ell)
     blocks = to_spark(spark, points, pids=pids)
     clock.lap("setup")
-    r1 = run_round1(blocks, ell, tau, eps)
+    r1 = run_round1(blocks, ell, tau)
     clock.lap("round1")
     centers = gmm(r1.points, k).centers(r1.points)
     clock.lap("round2")

@@ -1,14 +1,14 @@
 """Sections 3.2 / 3.2.1 — the 2-round (3+eps)-approximation MapReduce
 algorithms for k-center with z outliers, deterministic and randomized.
 
-Round 1 builds *weighted* per-partition coresets (GMM past k+z centers for
-the deterministic variant; past k + z' with z' = 6(z/ell + log2 n) for the
-randomized one, which partitions the input uniformly at random). Round 2
-gathers the weighted union T and runs OutliersCluster under the
-minimum-feasible-radius search of ``repro.core.search``.
-
-The experiments (Figure 4) fix the per-partition size instead of eps:
-tau = mu*(k+z) deterministic, tau = mu*(k + 6z/ell) randomized.
+Round 1 builds *weighted* per-partition coresets of a fixed size tau, as
+the experiments (Figure 4) do: tau = mu*(k+z) for the deterministic
+variant, tau = mu*(k + 6z/ell) for the randomized one, which partitions
+the input uniformly at random. (The theory runs GMM past k+z, or past
+k + z' with z' = 6(z/ell + log2 n), under an eps rule that is not an
+option of the code.) Round 2 gathers the weighted union T and runs
+OutliersCluster under the minimum-feasible-radius search of
+``repro.core.search``.
 
 With ``ell = 1`` the deterministic variant is the paper's *improved
 sequential algorithm* (Section 3.2, "Improved sequential algorithm"), and
@@ -27,14 +27,7 @@ from repro.core.search import min_feasible_radius
 from repro.data.datasets import to_spark
 from repro.mapreduce.evaluate import radius_spark
 from repro.mapreduce.partitioning import make_pids
-from repro.mapreduce.round1 import build_coreset, coreset_rule, run_round1
-
-
-def randomized_zprime(n: int, z: int, ell: int) -> int:
-    """z' = 6 * (z/ell + log2 n): the w.h.p. per-partition outlier bound of
-    Lemma 7: the randomized variant runs GMM past k + z' centers under
-    the eps rule."""
-    return math.ceil(6.0 * (z / ell + math.log2(max(2, n))))
+from repro.mapreduce.round1 import build_coreset, run_round1
 
 
 def experiment_tau(
@@ -54,8 +47,7 @@ def mr_kcenter_outliers(
     z: int,
     ell: int,
     *,
-    tau: int | None = None,
-    eps: float | None = None,
+    tau: int,
     eps_hat: float = 0.05,
     randomized: bool = False,
     outlier_mask: np.ndarray | None = None,
@@ -63,9 +55,8 @@ def mr_kcenter_outliers(
 ) -> Result:
     """Run the full 2-round outliers algorithm with parallelism ``ell``.
 
-    Exactly one of ``tau`` (fixed per-partition coreset size, >= k+z, or
-    >= k for the randomized variant) or ``eps`` (the paper's rule, GMM
-    past k+z or k+z' centers) must be given. ``eps_hat`` parameterizes
+    ``tau`` is the fixed per-partition coreset size: at least k+z, or at
+    least k for the randomized variant. ``eps_hat`` parameterizes
     OutliersCluster's ball radii and the search tolerance.
     The partitioning is random for the randomized variant (its guarantee
     needs it), adversarial when ``outlier_mask`` is given (every flagged
@@ -80,18 +71,16 @@ def mr_kcenter_outliers(
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
     if not 0 <= z < n:
         raise ValueError(f"need 0 <= z < n, got z={z}, n={n}")
-    tau, eps = coreset_rule(
-        tau, eps,
-        k_base=k + (randomized_zprime(n, z, ell) if randomized else z),
-        tau_min=k if randomized else k + z,
-    )
+    tau_min = k if randomized else k + z
+    if tau < tau_min:
+        raise ValueError(f"tau must be >= {tau_min}, got {tau}")
 
     mode = ("random" if randomized
             else "contiguous" if outlier_mask is None else "adversarial")
     pids = make_pids(n, ell, mode, seed=seed, outlier_mask=outlier_mask)
     blocks = to_spark(spark, points, pids=pids)
     clock.lap("setup")
-    r1 = run_round1(blocks, ell, tau, eps)
+    r1 = run_round1(blocks, ell, tau)
     clock.lap("round1")
     search = min_feasible_radius(r1.points, r1.weights, k, z, eps_hat)
     centers = search.centers(r1.points)
@@ -110,21 +99,21 @@ def sequential_coreset_outliers(
     k: int,
     z: int,
     *,
-    tau: int | None = None,
-    eps: float | None = None,
+    tau: int,
     eps_hat: float = 0.05,
 ) -> Result:
     """The paper's improved sequential algorithm: the ell = 1 MapReduce
     strategy run without Spark (used by the Figure 8 / T7 harness, where
     all competitors are sequential and must be timed on equal footing).
-    Exactly one of ``tau`` (>= k+z) or ``eps`` must be given.
+    ``tau``, the coreset size, is at least k+z.
     """
     clock = Clock()
     check_kz(k, z)
-    tau, eps = coreset_rule(tau, eps, k_base=k + z, tau_min=k + z)
+    if tau < k + z:
+        raise ValueError(f"tau must be >= {k + z}, got {tau}")
     points = finite_points(points)
     clock.lap("setup")
-    T, w = build_coreset(points, tau, eps)
+    T, w = build_coreset(points, tau)
     clock.lap("round1")
     search = min_feasible_radius(T, w, k, z, eps_hat)
     centers = search.centers(T)

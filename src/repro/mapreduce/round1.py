@@ -6,15 +6,15 @@ subset id ``pid`` in [0, ell) (see ``partitioning``), and every subset
 lies whole in one block: ``to_spark`` puts pid i in partition i mod P,
 with P = defaultParallelism. Round 1 is therefore one narrow stage with
 no shuffle: each task slices its block by pid and runs the reducers of
-its pids one after the other, one ``gmm(S_i, tau, eps=eps)`` call per
-subset S_i, as in "one reducer per subset" of the 2-round MapReduce
-schema. There is one task per slot rather than one per subset because
-each extra wave of Spark Python tasks costs ~0.06 s even for trivial work
+its pids one after the other, one ``gmm(S_i, tau)`` call per subset
+S_i, as in "one reducer per subset" of the 2-round MapReduce schema.
+There is one task per slot rather than one per subset because each extra
+wave of Spark Python tasks costs ~0.06 s even for trivial work
 (DESIGN.md §2); the subsets and their coresets do not depend on P. The
 task function starts with ``lean_worker()``: without it, every task
 re-reads the zip archives on the worker's Python path (pyspark, py4j, the
-spark-core jar) for 0.16–0.25 s. The drivers check ``tau`` and ``eps``
-with ``coreset_rule`` before any pass.
+spark-core jar) for 0.16–0.25 s. Each driver checks ``tau`` against the
+paper's bound before any pass.
 
 Within a subset, points are sorted by ``id`` before running GMM, so the
 coresets depend only on the pid assignment, not on how the rows are
@@ -40,29 +40,9 @@ from repro.core.gmm import gmm
 from repro.mapreduce.worker import lean_worker
 
 
-def coreset_rule(
-    tau: int | None, eps: float | None, *, k_base: int, tau_min: int
-) -> tuple[int, float | None]:
-    """Check a driver's coreset arguments before any pass over the input
-    and return the ``(tau, eps)`` pair each reducer hands to ``gmm``.
-
-    Exactly one of ``tau`` (the experiments' fixed size, at least
-    ``tau_min``) or ``eps`` (the theory's rule, run past ``k_base``
-    centers) must be given.
-    """
-    if (tau is None) == (eps is None):
-        raise ValueError("exactly one of tau=... or eps=... must be given")
-    if eps is not None and not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    tau = k_base if tau is None else tau
-    if tau < tau_min:
-        raise ValueError(f"tau must be >= {tau_min}, got {tau}")
-    return tau, eps
-
-
-def build_coreset(X: np.ndarray, tau: int, eps: float | None):
+def build_coreset(X: np.ndarray, tau: int):
     """One subset's weighted coreset: ``(points, weights)``."""
-    res = gmm(X, tau, eps=eps)
+    res = gmm(X, tau)
     return res.centers(X), res.weights()
 
 
@@ -80,7 +60,7 @@ class Round1Result:
         return len(self.points)
 
 
-def _block_coresets(block, tau: int, eps: float | None):
+def _block_coresets(block, tau: int):
     """One task: each subset of ``block`` in id order, and its coreset.
     Yields ``(pid, coreset points, weights, |S_pid|)``."""
     lean_worker()
@@ -88,21 +68,19 @@ def _block_coresets(block, tau: int, eps: float | None):
     order = np.lexsort((ids, pids))  # by pid, then id
     present, starts = np.unique(pids[order], return_index=True)
     for pid, rows in zip(present, np.split(order, starts[1:])):
-        centers, weights = build_coreset(X[rows], tau, eps)
+        centers, weights = build_coreset(X[rows], tau)
         yield int(pid), centers, weights, len(rows)
 
 
-def run_round1(
-    blocks: RDD, ell: int, tau: int, eps: float | None = None
-) -> Round1Result:
+def run_round1(blocks: RDD, ell: int, tau: int) -> Round1Result:
     """Execute round 1 over ``blocks`` (an RDD of ``(ids, pids, X)``
     blocks, each subset whole in one block, as ``to_spark`` lays them out)
     and collect the union of the weighted coresets at the driver, each
-    built by ``build_coreset(S_i, tau, eps)``. ``part_sizes`` has an entry
+    built by ``build_coreset(S_i, tau)``. ``part_sizes`` has an entry
     for every pid in [0, ell), 0 for a subset that received no point.
     Raises ``ValueError`` if a subset came back from two blocks, or if a
     block held a pid outside [0, ell)."""
-    out = blocks.flatMap(partial(_block_coresets, tau=tau, eps=eps)).collect()
+    out = blocks.flatMap(partial(_block_coresets, tau=tau)).collect()
     if not out:
         raise ValueError("round 1 produced an empty coreset union")
     out.sort(key=lambda r: r[0])

@@ -1,11 +1,24 @@
 """Exact brute-force k-center solvers, the tests' oracles for optimal
-radii (exponential in k, so tiny instances only). The package itself
-never calls them."""
+radii (exponential in k, so tiny instances only), and the coreset size of
+the paper's eps rule. The package itself never calls them."""
 from itertools import combinations
 
 import numpy as np
 
+from repro.core.gmm import gmm
 from repro.core.metric import as_points, cdist, radius_from_distances
+
+
+def rule_tau(X, base: int, eps: float) -> int:
+    """The coreset size of the paper's eps rule (Sections 3.1 / 3.2): the
+    first j >= ``base`` with r_{T^j}(X) <= (eps/2) * r_{T^base}(X), or
+    every distinct point of X if no j meets it. GMM is incremental, so
+    ``gmm(X, j)`` is a prefix of one full traversal and its radius is that
+    traversal's ``radii[j-1]``."""
+    radii = gmm(X, len(X)).radii
+    base = min(base, len(radii))
+    meets = radii[base - 1:] <= eps / 2.0 * radii[base - 1]
+    return base + int(meets.argmax()) if meets.any() else len(radii)
 
 
 def brute_force_kcenter(points, k: int) -> tuple[float, tuple[int, ...]]:

@@ -4,11 +4,11 @@ timings cover the whole call, and rejects NaN or infinite coordinates, a
 makes the streaming guess and merge rules double forever and the searches
 return degenerate answers.
 
-The MapReduce drivers and the sequential path also reject a degenerate
-coreset rule (tau below the paper's bound, eps <= 0, or both tau and eps)
-at the driver, with a ``ValueError``, before the input reaches Spark or
-GMM; and every entry point rejects a bad k, z or eps before it reads its
-input.
+The MapReduce drivers and the sequential path also reject a tau below the
+paper's bound at the driver, with a ``ValueError``, before the input
+reaches Spark or GMM; they take no ``eps`` (a fixed tau is the one
+coreset rule); and every entry point rejects a bad k or z before it reads
+its input.
 
 Inside the float64 range a power-of-two scale 2^p is exact, so each entry
 point's answer on 2^p X is 2^p times its answer on X, bit for bit; outside
@@ -30,7 +30,6 @@ from repro.mapreduce.kcenter_outliers import (
     mr_kcenter_outliers,
     sequential_coreset_outliers,
 )
-from repro.mapreduce.round1 import coreset_rule
 from repro.streaming import common
 from repro.streaming.base_outliers import base_stream_outliers
 from repro.streaming.base_stream import base_stream_kcenter
@@ -204,9 +203,7 @@ MR_DRIVERS = {
         s, X, 3, 5, 2, **spec
     ),
 }
-DEGENERATE_SPECS = [
-    {"tau": 0}, {"tau": -3}, {"eps": 0.0}, {"eps": -0.5}, {"tau": 5, "eps": 0.5}
-]
+DEGENERATE_SPECS = [{"tau": 0}, {"tau": -3}]
 
 
 def _spec_id(spec: dict) -> str:
@@ -259,21 +256,25 @@ def test_randomized_accepts_tau_below_k_plus_z(no_pass):
         mr_kcenter_outliers(None, X, 3, 5, 2, tau=3, randomized=True)
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"tau": 0},
-        {"tau": -3},
-        {"k_base": 0, "eps": 0.5},
-        {"k_base": 3, "eps": 0.0},
-        {"k_base": 3, "eps": -1.0},
-    ],
-    ids=_spec_id,
-)
-def test_coreset_spec_rejects_degenerate(kwargs):
-    with pytest.raises(ValueError, match="must be"):
-        coreset_rule(kwargs.get("tau"), kwargs.get("eps"),
-                     k_base=kwargs.get("k_base", 1), tau_min=1)
+# Every driver that takes a coreset size.
+TAU_DRIVERS = {
+    **MR_DRIVERS,
+    "sequential_coreset_outliers": lambda s, X, **spec: (
+        sequential_coreset_outliers(X, 3, 5, **spec)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAU_DRIVERS))
+def test_tau_is_the_one_coreset_rule(name, no_pass):
+    """``tau`` is required, and the paper's eps rule is not an option:
+    ``eps=`` is an unexpected keyword, not a second way to size the
+    coreset."""
+    X = np.random.default_rng(0).uniform(-1, 1, (200, 2))
+    with pytest.raises(TypeError, match="tau"):
+        TAU_DRIVERS[name](None, X)
+    with pytest.raises(TypeError, match="eps"):
+        TAU_DRIVERS[name](None, X, tau=40, eps=0.5)
 
 
 @pytest.mark.parametrize("tau", [0, -3])

@@ -1,6 +1,6 @@
 """Tests for repro.core.gmm — farthest-first traversal for tau centers
-and under the eps rule (Lemma 1, Lemma 2's stopping rule, proxy
-weights)."""
+(Lemma 1, proxy weights), and for the coreset size of the paper's eps
+rule (Lemmas 2 and 3), read off one full traversal by ``rule_tau``."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.gmm import gmm
 from repro.core.metric import cdist, min_dist, radius
-from tests.brute_force import brute_force_kcenter
+from tests.brute_force import brute_force_kcenter, rule_tau
 from tests.conftest import planted_clusters
 
 
@@ -156,26 +156,26 @@ class TestFixedCoreset:
 
 
 class TestAdaptiveCoreset:
+    """GMM run for ``rule_tau`` centers, the size of Section 3.1's rule."""
+
     def test_stopping_condition_met(self, three_blobs):
-        """On stop at tau: r_tau <= (eps/2) * r_k (Section 3.1's rule)."""
+        """At tau = rule_tau: r_tau <= (eps/2) * r_k (Section 3.1's rule)."""
         k, eps = 3, 0.5
-        res = gmm(three_blobs, k, eps=eps)
+        res = gmm(three_blobs, rule_tau(three_blobs, k, eps))
         assert res.tau >= k
         assert res.radii[-1] <= (eps / 2.0) * res.radii[k - 1] + 1e-12
 
     def test_minimality(self, three_blobs):
-        """tau is the *first* iteration >= k meeting the rule."""
+        """rule_tau is the *first* iteration >= k meeting the rule."""
         k, eps = 3, 0.5
-        res = gmm(three_blobs, k, eps=eps)
+        res = gmm(three_blobs, rule_tau(three_blobs, k, eps))
         if res.tau > k:
             assert res.radii[res.tau - 2] > (eps / 2.0) * res.radii[k - 1]
 
     @pytest.mark.parametrize("eps", [1.0, 0.5, 0.25])
     def test_smaller_eps_larger_coreset(self, eps):
         pts = planted_clusters(40, [(0, 0), (6, 0), (0, 6), (6, 6)], 1.0, seed=9)
-        res = gmm(pts, 4, eps=eps)
-        res_big = gmm(pts, 4, eps=eps / 2)
-        assert res_big.tau >= res.tau
+        assert rule_tau(pts, 4, eps / 2) >= rule_tau(pts, 4, eps)
 
     def test_lemma2_proxy_bound(self):
         """Lemma 2: d(s, p(s)) <= eps * r*_k(S) when run on a subset."""
@@ -184,18 +184,14 @@ class TestAdaptiveCoreset:
         k, eps = 2, 0.5
         opt, _ = brute_force_kcenter(S, k)
         X = S[:6]
-        res = gmm(X, k, eps=eps)
+        res = gmm(X, rule_tau(X, k, eps))
         C = res.centers(X)
         d = np.linalg.norm(X - C[res.assign], axis=1)
         assert d.max() <= eps * opt + 1e-9
 
     def test_weights_sum(self, three_blobs):
-        w = gmm(three_blobs, 3, eps=0.5).weights()
+        w = gmm(three_blobs, rule_tau(three_blobs, 3, 0.5)).weights()
         assert w.sum() == len(three_blobs)
-
-    def test_invalid_eps(self, three_blobs):
-        with pytest.raises(ValueError):
-            gmm(three_blobs, 3, eps=0.0)
 
 
 class TestDoublingDimensionBound:
@@ -206,12 +202,11 @@ class TestDoublingDimensionBound:
         x = np.sort(g.uniform(0, 100, 500))
         pts = np.stack([x, np.zeros_like(x)], axis=1)
         k, eps = 4, 0.5
-        res = gmm(pts, k, eps=eps)
         # D=1 bound with slack for the discrete-sample deviation.
-        assert res.tau <= k * int(4 / eps) * 4
+        assert rule_tau(pts, k, eps) <= k * int(4 / eps) * 4
 
 
-def _per_center_gmm(X, tau, first=0, stop=None):
+def _per_center_gmm(X, tau, first=0):
     """Reference: the farthest-first loop with one ``cdist(X, X[c:c+1])``
     per selected center, as ``gmm`` computed it before caching the norms."""
     n = len(X)
@@ -220,34 +215,29 @@ def _per_center_gmm(X, tau, first=0, stop=None):
     dist = cdist(X, X[first:first + 1])[:, 0]
     assign = np.zeros(n, dtype=np.int64)
     radii = [dist.max(initial=0.0)]
-    if stop is None or not stop(1, np.array(radii)):
-        while len(centers) < tau:
-            nxt = int(dist.argmax())
-            if dist[nxt] == 0.0:
-                break
-            nd = cdist(X, X[nxt:nxt + 1])[:, 0]
-            closer = nd < dist
-            dist[closer] = nd[closer]
-            assign[closer] = len(centers)
-            centers.append(nxt)
-            radii.append(dist.max(initial=0.0))
-            if stop is not None and stop(len(centers), np.array(radii)):
-                break
+    while len(centers) < tau:
+        nxt = int(dist.argmax())
+        if dist[nxt] == 0.0:
+            break
+        nd = cdist(X, X[nxt:nxt + 1])[:, 0]
+        closer = nd < dist
+        dist[closer] = nd[closer]
+        assign[closer] = len(centers)
+        centers.append(nxt)
+        radii.append(dist.max(initial=0.0))
     return np.array(centers, dtype=np.int64), assign, dist, np.array(radii)
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("grid", [False, True], ids=["float", "grid"])
-    @pytest.mark.parametrize("adaptive", [False, True],
-                             ids=["fixed", "adaptive"])
-    def test_bitwise_equal_to_per_center_cdist(self, grid, adaptive):
+    @pytest.mark.parametrize("grid", [False, True],
+                             ids=["fixed-float", "fixed-grid"])
+    def test_bitwise_equal_to_per_center_cdist(self, grid):
         """``gmm`` with cached norms and one GEMV per center gives the
         per-center ``cdist`` loop's ``centers_idx``, ``assign``, ``dist``
         and ``radii`` bit for bit: on seeded float and integer-grid inputs
-        with duplicated rows, any first center, tau up to past the number
-        of distinct points, and ``eps``'s stopping rule, which the
-        reference applies through a ``stop(j, radii)`` callback."""
-        g = np.random.default_rng(40 + 2 * grid + adaptive)
+        with duplicated rows, any first center, and tau up to past the
+        number of distinct points."""
+        g = np.random.default_rng(40 + 2 * grid)
         stopped_early = exhausted = 0
         for _ in range(60):
             n = int(g.integers(1, 300))
@@ -262,21 +252,8 @@ class TestAgainstReference:
                 X = X[g.integers(0, min(n, 5), n)]
             tau = int(g.integers(1, n + 4))
             first = int(g.integers(0, n))
-            if adaptive:
-                k_base, eps = int(g.integers(1, 8)), float(g.uniform(0.1, 2))
-
-                def stop(j, radii, k_base=k_base, eps=eps):
-                    return j >= k_base and (
-                        radii[j - 1] <= eps / 2 * radii[k_base - 1]
-                    )
-
-                # The rule may run GMM up to every point of X.
-                got = gmm(X, k_base, first=first, eps=eps)
-                tau = n
-                ref = _per_center_gmm(X, tau, first=first, stop=stop)
-            else:
-                got = gmm(X, tau, first=first)
-                ref = _per_center_gmm(X, tau, first=first)
+            got = gmm(X, tau, first=first)
+            ref = _per_center_gmm(X, tau, first=first)
             for name, want in zip(("centers_idx", "assign", "dist", "radii"),
                                   ref):
                 have = getattr(got, name)

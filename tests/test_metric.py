@@ -171,7 +171,9 @@ class TestPairTiles:
             pos = D[D > 0]
             assert P.lo == (pos.min() if len(pos) else np.inf)
             assert P.hi == D.max()
-            assert np.array_equal(P.values(), np.unique(D))
+            v = P.values()
+            assert v.dtype == D.dtype
+            assert v.tobytes() == np.unique(D).tobytes()
 
     def test_each_pair_stored_once(self):
         """A large set takes ``_TILES`` tiles of the upper triangle, the

@@ -11,8 +11,8 @@ from repro.data.datasets import to_spark
 from repro.mapreduce.evaluate import radius_spark
 from repro.mapreduce.kcenter import mr_kcenter
 from repro.mapreduce.partitioning import make_pids
-from repro.mapreduce.round1 import Round1Result, coreset_rule, run_round1
-from tests.brute_force import brute_force_kcenter
+from repro.mapreduce.round1 import Round1Result, run_round1
+from tests.brute_force import brute_force_kcenter, rule_tau
 from tests.conftest import planted_clusters
 
 
@@ -45,12 +45,16 @@ class TestEndToEnd:
 
     def test_theorem1_bound(self, spark):
         """(2+eps)-approximation against the brute-force optimum on a tiny
-        instance (adaptive rule with eps)."""
+        instance, with tau the largest coreset size of the eps rule over
+        the subsets: a larger tau only lowers a subset's radius, so
+        Lemma 2 still holds for every subset."""
         g = np.random.default_rng(30)
         pts = g.uniform(-1, 1, (24, 2))
-        k, eps = 2, 0.5
+        k, eps, ell = 2, 0.5, 2
         opt, _ = brute_force_kcenter(pts, k)
-        res = mr_kcenter(spark, pts, k=k, ell=2, eps=eps)
+        pids = make_pids(len(pts), ell)
+        tau = max(rule_tau(pts[pids == i], k, eps) for i in range(ell))
+        res = mr_kcenter(spark, pts, k=k, ell=ell, tau=tau)
         assert res.radius <= (2 + eps) * opt + 1e-9
 
     @pytest.mark.parametrize("ell", [1, 2, 4])
@@ -85,7 +89,7 @@ class TestEndToEnd:
         assert res.timings["round1"] > 0 and res.timings["round2"] >= 0
 
 
-def _round1_reference(X, pids, ell, tau, eps):
+def _round1_reference(X, pids, ell, tau):
     """Round 1 without Spark: per pid, the subset in id order, its coreset,
     the coreset rows sorted lexicographically; concatenated by pid."""
     points, weights, out_pids, sizes = [], [], [], {}
@@ -94,7 +98,7 @@ def _round1_reference(X, pids, ell, tau, eps):
         sizes[pid] = len(S)
         if not len(S):
             continue
-        res = gmm(S, tau, eps=eps)
+        res = gmm(S, tau)
         C, w = res.centers(S), res.weights()
         order = np.lexsort(C.T[::-1])
         points.append(C[order])
@@ -113,16 +117,15 @@ def _assert_same_round1(a, b):
 
 
 class TestRound1:
-    @pytest.mark.parametrize(
-        "rule", [(8, None), (4, 0.5)], ids=["fixed", "adaptive"],
-    )
+    @pytest.mark.parametrize("tau", [8, 100], ids=["fixed", "uneven"])
     def test_independent_of_row_order_and_partitioning(
-        self, spark, blobs4, rule
+        self, spark, blobs4, tau
     ):
         """Each reducer sorts its subset by id, so round 1 depends only on
         the pid assignment: not on the row order inside a block or on
         which block holds a subset, as long as each subset is whole in one
-        block."""
+        block. At tau = 100 the subsets (93 to 108 points) give coresets
+        of unequal sizes."""
         pids = make_pids(len(blobs4), 4, "random", seed=3)
         g = np.random.default_rng(5)
         moved = spark.sparkContext.parallelize(
@@ -136,9 +139,11 @@ class TestRound1:
             ],
             4,
         )
-        a = run_round1(to_spark(spark, blobs4, pids=pids), 4, *rule)
-        b = run_round1(moved, 4, *rule)
+        a = run_round1(to_spark(spark, blobs4, pids=pids), 4, tau)
+        b = run_round1(moved, 4, tau)
         _assert_same_round1(a, b)
+        sizes = np.bincount(a.pids)
+        assert (sizes == np.minimum(np.bincount(pids), tau)).all()
 
     def test_split_subset_rejected(self, spark, blobs4):
         """A subset cut across blocks would reach two reducers and come
@@ -184,22 +189,23 @@ class TestRound1:
     @pytest.mark.parametrize("ell", [1, 3, 4, 8, 16])
     def test_matches_spark_free_reference(self, spark, ell):
         """Bit for bit the Spark-free reference, for ell below, equal to,
-        above and not a multiple of the number of slots, with fixed and
-        adaptive coresets, and with fewer points than splits (empty
-        blocks, and most subsets empty)."""
+        above and not a multiple of the number of slots, with coresets of
+        equal and of unequal sizes (integer points with repeats, some
+        subsets smaller than tau), and with fewer points than splits
+        (empty blocks, and most subsets empty)."""
         g = np.random.default_rng(70 + ell)
         splits = spark.sparkContext.defaultParallelism
         cases = [
             (planted_clusters(60, [(0, 0), (9, 2), (3, 8)], 1.0, seed=ell),
-             (6, None)),
-            (np.rint(g.normal(size=(150, 3)) * 4), (3, 0.7)),
-            (g.normal(size=(max(1, splits - 1), 2)), (2, None)),
+             6),
+            (np.rint(g.normal(size=(150, 3)) * 4), 40),
+            (g.normal(size=(max(1, splits - 1), 2)), 2),
         ]
-        for X, rule in cases:
+        for X, tau in cases:
             pids = g.integers(0, ell, len(X)).astype(np.int32)
-            got = run_round1(to_spark(spark, X, pids=pids), ell, *rule)
+            got = run_round1(to_spark(spark, X, pids=pids), ell, tau)
             points, weights, ref_pids, sizes = _round1_reference(
-                X, pids, ell, *rule
+                X, pids, ell, tau
             )
             _assert_same_round1(got, Round1Result(
                 points=points, weights=weights, pids=ref_pids,
@@ -234,9 +240,3 @@ class TestValidation:
     def test_tau_below_k(self, spark, blobs4):
         with pytest.raises(ValueError):
             mr_kcenter(spark, blobs4, k=4, ell=2, tau=3)
-
-    def test_spec_requires_exactly_one_rule(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            coreset_rule(None, None, k_base=3, tau_min=3)
-        with pytest.raises(ValueError, match="exactly one"):
-            coreset_rule(5, 0.5, k_base=3, tau_min=3)

@@ -7,10 +7,10 @@ from repro.core.metric import radius
 from repro.mapreduce.kcenter_outliers import (
     experiment_tau,
     mr_kcenter_outliers,
-    randomized_zprime,
     sequential_coreset_outliers,
 )
-from tests.brute_force import brute_force_kcenter_outliers
+from repro.mapreduce.partitioning import make_pids
+from tests.brute_force import brute_force_kcenter_outliers, rule_tau
 from tests.conftest import planted_clusters
 
 
@@ -67,14 +67,19 @@ class TestDeterministic:
         assert res.radius < 5.0
 
     def test_theorem2_bound(self, spark):
-        """(3+eps) bound against brute force on a tiny instance, using the
-        adaptive rule (eps) and the paper's eps_hat = eps/6 coupling."""
+        """(3+eps) bound against brute force on a tiny instance, with the
+        paper's eps_hat = eps/6 coupling and tau the largest coreset size
+        of the (eps/6) rule past k+z centers over the contiguous subsets:
+        a larger tau only lowers a subset's radius, so Lemma 2 still holds
+        for every subset."""
         g = np.random.default_rng(50)
         pts = g.uniform(-1, 1, (20, 2))
-        k, z, eps = 2, 2, 0.6
+        k, z, eps, ell = 2, 2, 0.6, 2
         opt, _ = brute_force_kcenter_outliers(pts, k, z)
+        pids = make_pids(len(pts), ell)
+        tau = max(rule_tau(pts[pids == i], k + z, eps / 6) for i in range(ell))
         res = mr_kcenter_outliers(
-            spark, pts, k=k, z=z, ell=2, eps=eps / 6, eps_hat=eps / 6
+            spark, pts, k=k, z=z, ell=ell, tau=tau, eps_hat=eps / 6
         )
         assert res.radius <= (3 + eps) * opt + 1e-6
 
@@ -114,14 +119,6 @@ class TestRandomized:
 
 
 class TestFormulas:
-    def test_zprime_formula(self):
-        import math
-
-        n, z, ell = 100_000, 1000, 16
-        assert randomized_zprime(n, z, ell) == math.ceil(
-            6 * (z / ell + math.log2(n))
-        )
-
     def test_experiment_tau_deterministic(self):
         assert experiment_tau(2, 20, 200, 16, randomized=False) == 440
 
@@ -143,13 +140,6 @@ class TestSequentialPath:
         seq = sequential_coreset_outliers(pts, 3, z, tau=z + 10)
         np.testing.assert_allclose(mr.centers, seq.centers)
         assert mr.search.r == pytest.approx(seq.search.r)
-
-    def test_needs_tau_or_eps(self, blobs_out):
-        pts, _ = blobs_out
-        with pytest.raises(ValueError, match="exactly one"):
-            sequential_coreset_outliers(pts, 3, 6)
-        with pytest.raises(ValueError, match="exactly one"):
-            sequential_coreset_outliers(pts, 3, 6, tau=20, eps=0.5)
 
     def test_sequential_quality(self, blobs_out):
         pts, mask = blobs_out

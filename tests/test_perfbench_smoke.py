@@ -3,6 +3,7 @@ completes, every call is checked correct, and each metric that
 BENCHMARK.json declares is reported with its unit. The traced runs also
 show that the span hooks still fire: on the doubling coreset (no Spark),
 and on the MapReduce driver's round 1, distributed radius and search."""
+import inspect
 import json
 import subprocess
 import sys
@@ -44,3 +45,30 @@ def test_mr_big_coreset_tiny(trace):
                      "mapreduce.evaluate.radius_spark_s",
                      "core.search.evaluations"):
             assert metrics[name] > 0, name
+
+
+def test_hook_targets_exist():
+    """The benchmark's tracer and capture (``perfbench/spans.py``) wrap
+    these program attributes by name and skip a missing one silently, so a
+    rename would zero a per-layer metric with no other test failing. The
+    capture binds the search's ``T``, ``weights`` and ``eps_hat`` by
+    name."""
+    from repro.core import search
+    from repro.mapreduce import kcenter_outliers
+    from repro.streaming import coreset_outliers, doubling
+
+    targets = [
+        (kcenter_outliers, "to_spark"),
+        (kcenter_outliers, "run_round1"),
+        (kcenter_outliers, "radius_spark"),
+        (kcenter_outliers, "min_feasible_radius"),
+        (coreset_outliers, "min_feasible_radius"),
+        (search, "outliers_cluster"),
+        (doubling, "cdist"),
+        (doubling.DoublingCoreset, "process"),
+    ]
+    for owner, name in targets:
+        assert callable(getattr(owner, name, None)), (owner.__name__, name)
+    for owner in (kcenter_outliers, coreset_outliers):
+        params = inspect.signature(owner.min_feasible_radius).parameters
+        assert {"T", "weights", "eps_hat"} <= set(params), owner.__name__

@@ -251,3 +251,14 @@ class TestSearchMemory:
         res, peak = self._peak(lambda: outliers_cluster(T, w, 5, 0.3, 0.1))
         assert res.n_centers >= 1
         assert peak <= 5 * n * n + 2 * 2**20
+
+    def test_peak_memory_charikar(self):
+        """The exact search's distinct distances: the tiles are copied
+        into one array once and sorted in place, about 13 n^2 bytes in
+        all. ``np.unique`` over the concatenation sorted a second copy and
+        peaked at 17.3 n^2 bytes."""
+        n = self.N
+        X = np.random.default_rng(0).normal(size=(n, 3))
+        res, peak = self._peak(lambda: charikar(X, 5, 20))
+        assert res.search.evaluations > 2
+        assert peak <= 14 * n * n
